@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lintfix-check ci perfcheck racecheck faultsmoke explorecheck grandprixsmoke fuzz cover bench results perf
+.PHONY: all build test race vet lint lintfix-check ci perfcheck perfbench racecheck faultsmoke explorecheck grandprixsmoke fuzz cover bench results perf
 
 all: build
 
@@ -48,6 +48,15 @@ ci: lint lintfix-check vet race racecheck perfcheck faultsmoke explorecheck gran
 
 perfcheck:
 	$(GO) run ./cmd/dpml-bench -perf -quick -baseline BENCH_sim.json -o /dev/null
+
+# perfbench runs the repository benchmark (cmd/dpml-perfbench, declared
+# in BENCHMARK.json): the end-to-end metrics of each workload over the
+# declared 30 s run time. It measures rather than gates, so it is not
+# part of ci.
+perfbench:
+	for w in scale-10k fabric-oversub verified-64; do \
+		bash cmd/dpml-perfbench/run.sh --workload $$w --seconds 30 --trace 0 || exit 1; \
+	done
 
 # racecheck reruns the kernel, fabric, and MPI test packages under the
 # race detector with the event kernel split across four shards and the

@@ -41,12 +41,17 @@ type Link struct {
 	// water-fill; it gates the incremental completion fast path.
 	bottleneck bool
 
+	// comp labels the live component the link belongs to, as of the last
+	// recompute that reached it (0: it carried no live flow). Labels are
+	// unique among live components, which is how recompute keeps the
+	// component count without rediscovering untouched components.
+	comp int32
+
 	// water-filling scratch state, valid only within one recompute
 	mark     uint64
 	share    float64 // this iteration's fair share (residual / unfrozen)
 	unfrozen int
-	comp     int32 // component id during discovery (provisional, then dense)
-	binds    bool  // marked binding in the current fill iteration
+	binds    bool // marked binding in the current fill iteration
 }
 
 // NewLink returns a link with the given capacity in bytes/sec.
@@ -139,17 +144,18 @@ type flow struct {
 	event      *sim.Event
 	frozen     bool  // scratch state for water-filling
 	done       bool  // completed; awaiting compaction
-	comp       int32 // component id during discovery (provisional, then dense)
+	comp       int32 // dense id of its affected component within a recompute; -1 otherwise
 }
 
 // component is one connected component of the flow-link bipartite graph:
 // a set of flows and the links they (transitively) share. Max-min fair
 // rates in one component are independent of every other component — the
 // only exact decomposition of the fill — so components are the unit of
-// parallel recomputation. Flow and link lists preserve the canonical
-// global orders (n.active order; first-touch link order), so the fill's
-// floating-point arithmetic does not depend on how components are grouped
-// or which worker computes them.
+// both incremental and parallel recomputation. Flow and link lists
+// preserve the canonical global orders (n.active order; first-touch link
+// order), so the fill's floating-point arithmetic does not depend on how
+// components are grouped, which of them a recompute refills, or which
+// worker computes them.
 type component struct {
 	flows []*flow
 	links []*Link
@@ -167,9 +173,18 @@ type FlowNet struct {
 	active  []*flow // live flows plus tombstones awaiting compaction
 	live    int     // live entries in active
 	dirty   bool
-	gen     uint64      // water-filling generation stamp
-	uf      []int32     // scratch: union-find over provisional component ids
-	comps   []component // scratch: per-component flow/link buckets, reused
+	gen     uint64 // water-filling generation stamp
+	// touched lists the links whose flows or capacity changed since the
+	// last recompute (duplicates allowed); only their components refill.
+	touched []*Link
+	// labelLinks counts the links carrying each component label (see
+	// Link.comp; index 0 is the unused "no component" label), and
+	// freeLabels holds labels no link carries any more.
+	labelLinks []int32
+	freeLabels []int32
+	comps      []component // scratch: per-component flow/link buckets, reused
+	queue      []*Link     // scratch: component search frontier
+	refill     []*flow     // scratch: refilled flows in n.active order
 	// Stats counts scheduler work for tests and reports.
 	Stats struct {
 		Started   uint64
@@ -179,15 +194,19 @@ type FlowNet struct {
 		// recompute because no link the flow crossed was a bottleneck.
 		FastPath uint64
 		// MaxComponents is the largest number of independent link
-		// components any single recompute saw — the available water-fill
-		// parallelism (1 means the whole net is one coupled component).
+		// components live at any single recompute — the available
+		// water-fill parallelism (1 means the whole net is one coupled
+		// component).
 		MaxComponents uint64
+		// Refilled sums, over recomputes, the flows whose component was
+		// refilled: the water-fill work actually done.
+		Refilled uint64
 	}
 }
 
 // NewFlowNet returns an empty flow scheduler bound to the kernel.
 func NewFlowNet(k *sim.Kernel) *FlowNet {
-	return &FlowNet{k: k, workers: 1}
+	return &FlowNet{k: k, workers: 1, labelLinks: []int32{0}}
 }
 
 // SetWorkers sets how many host goroutines recompute may use to
@@ -230,10 +249,12 @@ func (n *FlowNet) Start(bytes int64, rateCap float64, onDone func(), links ...*L
 		remaining:  float64(bytes),
 		lastSettle: n.k.Now(),
 		onDone:     onDone,
+		comp:       -1,
 	}
 	for _, l := range links {
 		l.addFlow(f)
 	}
+	n.touched = append(n.touched, links...)
 	n.active = append(n.active, f)
 	n.live++
 	n.Stats.Started++
@@ -255,6 +276,7 @@ func (n *FlowNet) SetLinkCapacity(l *Link, capacity float64) {
 		return
 	}
 	l.capacity = capacity
+	n.touched = append(n.touched, l)
 	n.markDirty()
 }
 
@@ -273,6 +295,10 @@ func (n *FlowNet) complete(f *flow) {
 	// Credit the final, not-yet-settled leg of the transfer.
 	now := n.k.Now()
 	fast := !n.dirty
+	// Record the links even on the fast path: the next recompute must
+	// compact them and refill their component, exactly as a global refill
+	// would.
+	n.touched = append(n.touched, f.links...)
 	for _, l := range f.links {
 		l.moved += f.remaining
 		l.chargeBusy(f.lastSettle, now)
@@ -307,49 +333,54 @@ func (n *FlowNet) complete(f *flow) {
 	}
 }
 
-// parallelFillMin is the flow-population floor below which recompute
-// stays serial even when workers > 1: goroutine handoff costs more than
-// a small fill, and tiny populations rarely split into many components.
+// parallelFillMin is the refilled-flow floor below which recompute stays
+// serial even when workers > 1: goroutine handoff costs more than a small
+// fill, and small refills rarely span many components.
 const parallelFillMin = 48
 
-// recompute settles progress, water-fills rates, and reschedules
-// completion events for every active flow. The settle and fill run per
-// connected component of the flow-link graph — components share no state
-// and use canonical arithmetic (see fillComponent), so striding them
+// recompute settles progress, then water-fills and reschedules only the
+// components whose flows or link capacities changed since the last
+// recompute. A component's fill reads nothing but its own flows' caps,
+// its links' capacities and their list order, so a component nothing
+// touched already holds exactly the rates a global refill would give it,
+// and its completion events stay valid. Components share no state and use
+// canonical arithmetic (see waterFill), so striding the refilled ones
 // across workers changes wall-clock only, never a single bit of output.
 func (n *FlowNet) recompute() {
 	n.Stats.Recompute++
 	n.compact()
+	count := n.affectedComponents()
+	if live := uint64(n.liveComponents()); live > n.Stats.MaxComponents {
+		n.Stats.MaxComponents = live
+	}
 	if n.live == 0 {
 		return
 	}
 	now := n.k.Now()
-	count := n.findComponents()
-	if uint64(count) > n.Stats.MaxComponents {
-		n.Stats.MaxComponents = uint64(count)
-	}
+	n.settle(now)
+	n.Stats.Refilled += uint64(len(n.refill))
 	w := n.workers
 	if w > count {
 		w = count
 	}
-	if w > 1 && n.live >= parallelFillMin {
+	if w > 1 && len(n.refill) >= parallelFillMin {
 		var wg sync.WaitGroup
 		for i := 1; i < w; i++ {
 			wg.Add(1)
 			go func(start int) {
 				defer wg.Done()
 				for j := start; j < count; j += w {
-					n.fillComponent(&n.comps[j], now)
+					n.fillComponent(&n.comps[j])
 				}
 			}(i)
 		}
 		for j := 0; j < count; j += w {
-			n.fillComponent(&n.comps[j], now)
+			n.fillComponent(&n.comps[j])
 		}
 		wg.Wait()
 	} else {
 		for i := 0; i < count; i++ {
-			n.fillComponent(&n.comps[i], now)
+			n.fillComponent(&n.comps[i])
 		}
 	}
 	n.reschedule(now)
@@ -373,17 +404,152 @@ func (n *FlowNet) compact() {
 	n.active = active
 }
 
-// reschedule refreshes completion events after a water-fill. A flow's
-// event is pending from the first fill after Start until complete nils
-// it, so re-fitting is an in-place Kernel.Reschedule — no cancelled
-// tombstones pile up in the event heap and the completion closure is
-// allocated once per flow, not once per rate change.
-func (n *FlowNet) reschedule(now sim.Time) {
+// affectedComponents finds the connected components of the flow-link
+// bipartite graph that now contain a touched link, by breadth-first search
+// over Link.flows and flow.links, and gives their flows dense ids
+// (flow.comp) in discovery order. Returns the component count. An arrival
+// merges components and a departure splits one; either way the search
+// finds the components as they are now. Links are compacted here, once
+// per recompute that reaches them (see Link.compact): every tombstone
+// comes from a completion, which touched its links.
+//
+// It also keeps the live component count: every link of a component that
+// held a touched link is reached (any path from it to a touched link
+// either survives or ends at a departed flow, whose links are touched),
+// so relabelling the reached links retires exactly the old components
+// the change dissolved.
+func (n *FlowNet) affectedComponents() int {
+	n.gen++
+	count := 0
+	for _, t := range n.touched {
+		if t.mark == n.gen {
+			continue
+		}
+		t.mark = n.gen
+		t.compact()
+		if t.live == 0 {
+			n.relabel(t, 0)
+			continue
+		}
+		id := int32(count)
+		count++
+		if int(id) == len(n.comps) {
+			n.comps = append(n.comps, component{})
+		}
+		n.comps[id].flows = n.comps[id].flows[:0]
+		n.comps[id].links = n.comps[id].links[:0]
+		label := n.newLabel()
+		queue := append(n.queue[:0], t)
+		for i := 0; i < len(queue); i++ {
+			l := queue[i]
+			n.relabel(l, label)
+			for _, f := range l.flows {
+				if f.comp >= 0 {
+					continue
+				}
+				f.comp = id
+				for _, fl := range f.links {
+					if fl.mark != n.gen {
+						fl.mark = n.gen
+						fl.compact()
+						queue = append(queue, fl)
+					}
+				}
+			}
+		}
+		n.queue = queue
+	}
+	n.touched = n.touched[:0]
+	return count
+}
+
+// liveComponents returns the number of connected components with live
+// flows as of the last recompute: the labels some link carries.
+func (n *FlowNet) liveComponents() int {
+	return len(n.labelLinks) - 1 - len(n.freeLabels)
+}
+
+// newLabel returns a component label no link carries.
+func (n *FlowNet) newLabel() int32 {
+	if k := len(n.freeLabels); k > 0 {
+		label := n.freeLabels[k-1]
+		n.freeLabels = n.freeLabels[:k-1]
+		return label
+	}
+	n.labelLinks = append(n.labelLinks, 0)
+	return int32(len(n.labelLinks) - 1)
+}
+
+// relabel moves l to component label (0: none), freeing its old label
+// once no link carries it.
+func (n *FlowNet) relabel(l *Link, label int32) {
+	if old := l.comp; old != 0 {
+		if n.labelLinks[old]--; n.labelLinks[old] == 0 {
+			n.freeLabels = append(n.freeLabels, old)
+		}
+	}
+	l.comp = label
+	if label != 0 {
+		n.labelLinks[label]++
+	}
+}
+
+// settle credits every live flow's progress up to now in one pass over
+// n.active — global and in n.active order, so the float sums behind
+// remaining, Link.moved and chargeBusy are the same whichever components
+// refill — and buckets the affected components' flows in n.active order
+// and their links in first-touch order, the canonical fill order. The
+// bucketed flows, in n.active order, become n.refill.
+func (n *FlowNet) settle(now sim.Time) {
+	n.gen++
+	refill := n.refill[:0]
 	for _, f := range n.active {
+		if dt := now.Sub(f.lastSettle); dt > 0 {
+			moved := f.rate * dt.Seconds()
+			if moved > f.remaining {
+				moved = f.remaining
+			}
+			f.remaining -= moved
+			for _, l := range f.links {
+				l.moved += moved
+				l.chargeBusy(f.lastSettle, now)
+			}
+		}
+		f.lastSettle = now
+		if f.comp < 0 {
+			continue
+		}
+		c := &n.comps[f.comp]
+		c.flows = append(c.flows, f)
+		for _, l := range f.links {
+			if l.mark != n.gen {
+				l.mark = n.gen
+				l.unfrozen = 0
+				c.links = append(c.links, l)
+			}
+			l.unfrozen++
+		}
+		f.frozen = false
+		f.prevRate = f.rate
+		f.rate = 0
+		refill = append(refill, f)
+	}
+	n.refill = refill
+}
+
+// reschedule refreshes the refilled flows' completion events, in n.active
+// order so events are keyed in the same sequence as a global pass would
+// key them, and clears their component ids. A flow's event is pending
+// from the first fill after Start until complete nils it, so re-fitting
+// is an in-place Kernel.Reschedule — no cancelled tombstones pile up in
+// the event heap and the completion closure is allocated once per flow,
+// not once per rate change.
+func (n *FlowNet) reschedule(now sim.Time) {
+	for _, f := range n.refill {
+		f.comp = -1
 		// An unchanged rate means the previously scheduled completion
 		// time is still exact (fluid drain is linear); skipping the
-		// reschedule avoids re-keying thousands of events when a
-		// recompute leaves most flows untouched.
+		// reschedule avoids re-keying events the refill left untouched.
 		if f.event != nil && f.rate == f.prevRate { //dpml:allow floateq -- bit-identical rate keeps the scheduled completion exact
 			continue
 		}
@@ -400,130 +566,11 @@ func (n *FlowNet) reschedule(now sim.Time) {
 	}
 }
 
-// ufFind resolves a provisional component id to its root with path
-// halving. Entries may hold ^denseID (negative) once the root has been
-// claimed during the remap pass; those stop the walk and carry the dense
-// id forward, so halving across them is still sound.
-func ufFind(uf []int32, x int32) int32 {
-	for uf[x] >= 0 && uf[x] != x {
-		if p := uf[uf[x]]; p >= 0 {
-			uf[x] = p
-		}
-		x = uf[x]
-	}
-	return x
-}
-
-// findComponents partitions the live flows and their links into connected
-// components of the flow-link bipartite graph and buckets them into
-// n.comps, returning the component count. Two flows land in the same
-// component iff they transitively share a link — exactly the set whose
-// max-min fair rates are coupled — so filling components independently is
-// an exact decomposition, not an approximation.
-//
-// Numbering and bucket order are canonical: dense component ids are
-// assigned in first-appearance order over n.active, each component's
-// flows preserve n.active order, and its links preserve global
-// first-touch order. Every downstream float sum therefore runs in the
-// same order regardless of how many components exist or which worker
-// fills them.
-func (n *FlowNet) findComponents() int {
-	// Pass 1: union-find over provisional ids. Links are stamped, then
-	// compacted once per recompute here (see Link.compact).
-	n.gen++
-	uf := n.uf[:0]
-	for _, f := range n.active {
-		root := int32(-1)
-		for _, l := range f.links {
-			if l.mark != n.gen {
-				l.mark = n.gen
-				l.compact()
-				l.comp = -1
-			}
-			if l.comp < 0 {
-				continue
-			}
-			r := ufFind(uf, l.comp)
-			if root < 0 || r == root {
-				root = r
-			} else if r < root {
-				uf[root] = r
-				root = r
-			} else {
-				uf[r] = root
-			}
-		}
-		if root < 0 {
-			root = int32(len(uf))
-			uf = append(uf, root)
-		}
-		f.comp = root
-		for _, l := range f.links {
-			if l.comp < 0 {
-				l.comp = root
-			}
-		}
-	}
-
-	// Pass 2: resolve roots to dense ids (claimed roots store ^denseID in
-	// place) and bucket flows and links per component.
-	n.gen++
-	count := int32(0)
-	for _, f := range n.active {
-		r := ufFind(uf, f.comp)
-		var id int32
-		if uf[r] < 0 {
-			id = ^uf[r]
-		} else {
-			id = count
-			uf[r] = ^count
-			count++
-			if int(id) == len(n.comps) {
-				n.comps = append(n.comps, component{})
-			}
-			n.comps[id].flows = n.comps[id].flows[:0]
-			n.comps[id].links = n.comps[id].links[:0]
-		}
-		f.comp = id
-		c := &n.comps[id]
-		c.flows = append(c.flows, f)
-		for _, l := range f.links {
-			if l.mark != n.gen {
-				l.mark = n.gen
-				l.unfrozen = 0
-				l.comp = id
-				c.links = append(c.links, l)
-			}
-			l.unfrozen++
-		}
-	}
-	n.uf = uf
-	return int(count)
-}
-
-// fillComponent settles elapsed progress, water-fills rates, and refreshes
-// bottleneck flags for one component. Safe to run concurrently with other
-// components: every flow belongs to exactly one component and every link's
-// flows all share that component, so the touched state is disjoint.
-func (n *FlowNet) fillComponent(c *component, now sim.Time) {
-	for _, f := range c.flows {
-		if dt := now.Sub(f.lastSettle); dt > 0 {
-			moved := f.rate * dt.Seconds()
-			if moved > f.remaining {
-				moved = f.remaining
-			}
-			f.remaining -= moved
-			for _, l := range f.links {
-				l.moved += moved
-				l.chargeBusy(f.lastSettle, now)
-			}
-		}
-		f.lastSettle = now
-		f.frozen = false
-		f.prevRate = f.rate
-		f.rate = 0
-	}
-
+// fillComponent water-fills rates and refreshes bottleneck flags for one
+// settled component. Safe to run concurrently with other components:
+// every flow belongs to exactly one component and every link's flows all
+// share that component, so the touched state is disjoint.
+func (n *FlowNet) fillComponent(c *component) {
 	n.waterFill(c)
 
 	// Record which links this fill saturated. Completions on links with

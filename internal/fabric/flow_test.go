@@ -350,23 +350,22 @@ func TestWaterFillInvariants(t *testing.T) {
 	// Property-style check on the water-filler directly: random flow
 	// populations must never oversubscribe a link, never exceed a flow
 	// cap, and leave no slack when a flow could go faster.
-	k := sim.NewKernel()
-	n := NewFlowNet(k)
 	rng := uint64(12345)
 	next := func(mod int) int {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return int(rng>>33) % mod
 	}
 	for trial := 0; trial < 50; trial++ {
+		n := NewFlowNet(sim.NewKernel())
 		nLinks := 1 + next(5)
 		links := make([]*Link, nLinks)
 		for i := range links {
 			links[i] = NewLink(fmt.Sprintf("t%d.l%d", trial, i), float64(1+next(10))*1e9)
 		}
 		nFlows := 1 + next(20)
-		n.active = n.active[:0]
 		for i := 0; i < nFlows; i++ {
-			f := &flow{cap: float64(1+next(8)) * 0.5e9, remaining: 1e6}
+			rateCap := float64(1+next(8)) * 0.5e9
+			var route []*Link
 			used := map[int]bool{}
 			for j := 0; j <= next(nLinks); j++ {
 				li := next(nLinks)
@@ -374,19 +373,14 @@ func TestWaterFillInvariants(t *testing.T) {
 					continue
 				}
 				used[li] = true
-				f.links = append(f.links, links[li])
-				links[li].addFlow(f)
+				route = append(route, links[li])
 			}
-			if len(f.links) == 0 {
-				f.links = append(f.links, links[0])
-				links[0].addFlow(f)
+			if len(route) == 0 {
+				route = append(route, links[0])
 			}
-			n.active = append(n.active, f)
+			n.Start(1e6, rateCap, nil, route...)
 		}
-		comps := n.findComponents()
-		for ci := 0; ci < comps; ci++ {
-			n.waterFill(&n.comps[ci])
-		}
+		refillNow(n)
 		const eps = 1e-3
 		for _, l := range links {
 			sum := 0.0
@@ -422,10 +416,6 @@ func TestWaterFillInvariants(t *testing.T) {
 					t.Fatalf("trial %d: flow %d below cap with slack everywhere", trial, fi)
 				}
 			}
-		}
-		// Detach flows for the next trial.
-		for _, l := range links {
-			l.flows = nil
 		}
 	}
 }
