@@ -7,19 +7,20 @@ import (
 	"testing"
 )
 
-// The direct-handoff scheduler runs scheduling decisions inline in the
-// parking proc and hands the token straight to the next proc. These tests
-// pin down the tricky corners: unwinding when the failing/reporting proc
-// itself holds the token, context-switch accounting, and the zero-handoff
-// fast paths.
+// Each kernel drives its procs as coroutines from one loop: the driver
+// picks the next proc, resumes it, and the proc yields back when it
+// blocks. These tests pin down the corners: unwinding procs that were
+// parked, ready, or never started when the run failed, blaming callback
+// panics on the right proc, context-switch accounting, and the
+// zero-switch fast paths.
 
 // TestPingPongHalvesContextSwitches is the headline accounting check: two
 // procs exchanging n messages park once per receive, so the run makes
 // 2n+2 scheduling decisions (two bootstrap dispatches plus 2n receive
-// wakeups). The retired two-hop scheduler paid two goroutine switches per
-// decision (proc -> kernel -> proc); direct handoff pays at most one, so
-// Stats.ContextSwitch must come out at no more than half the event-driven
-// handoff count.
+// wakeups). A scheduler goroutine between procs (proc -> kernel -> proc)
+// would pay two switches per decision; the driver counts one resume per
+// decision, so Stats.ContextSwitch must come out at no more than half
+// that event-driven handoff count.
 func TestPingPongHalvesContextSwitches(t *testing.T) {
 	const n = 1000
 	k := NewKernel()
@@ -57,7 +58,7 @@ func TestPingPongHalvesContextSwitches(t *testing.T) {
 }
 
 // TestSleepFastPathZeroHandoffs: a solo proc's sleeps must advance the
-// clock without scheduling events or switching goroutines, while a proc
+// clock without scheduling events or switching to the driver, while a proc
 // whose wakeup races an earlier event must take the slow path and see the
 // event fire first.
 func TestSleepFastPathZeroHandoffs(t *testing.T) {
@@ -138,8 +139,8 @@ func TestYieldFastPathEmptyQueue(t *testing.T) {
 
 // TestPanicMidRunWithReadyProcs: a proc panics while other procs are
 // ready (not just parked); the ready-but-never-run ones must unwind too
-// and the panic must surface. Under direct handoff the panicking proc's
-// own exit path discovers the failure and hands the token to Run.
+// and the panic must surface. The panicking proc's coroutine records the
+// failure, and the driver's next scheduler step ends the run.
 func TestPanicMidRunWithReadyProcs(t *testing.T) {
 	k := NewKernel()
 	ran := 0
@@ -160,9 +161,9 @@ func TestPanicMidRunWithReadyProcs(t *testing.T) {
 	}
 }
 
-// TestPanicInsideEventCallback: an event callback fires inline in
-// whichever proc holds the token; a panic there is attributed to the
-// token holder and still aborts the run cleanly.
+// TestPanicInsideEventCallback: event callbacks fire on the driver after
+// a proc blocks; a panic there is attributed to the proc the driver
+// resumed last and still aborts the run cleanly.
 func TestPanicInsideEventCallback(t *testing.T) {
 	k := NewKernel()
 	var sig Signal
@@ -181,10 +182,10 @@ func TestPanicInsideEventCallback(t *testing.T) {
 	}
 }
 
-// TestDeadlockReportedByTokenHolder: the last proc to park is the one
-// that runs the scheduler, finds nothing runnable, and must report a
-// deadlock that includes *itself*, then unwind cleanly even though it was
-// holding the token when it found out.
+// TestDeadlockReportedByTokenHolder: after the last proc parks, the
+// driver finds nothing runnable and must report a deadlock that includes
+// that proc too, then unwind it cleanly even though it was the one
+// running just before the verdict.
 func TestDeadlockReportedByTokenHolder(t *testing.T) {
 	k := NewKernel()
 	var sig Signal
@@ -209,9 +210,9 @@ func TestDeadlockReportedByTokenHolder(t *testing.T) {
 	}
 }
 
-// TestDeadlockDetectedByExitingProc: the run can also dead-end when a
-// finishing proc's exit path finds only parked procs left; the survivors
-// are reported and unwound.
+// TestDeadlockDetectedByExitingProc: the run can also dead-end right
+// after a proc finishes, with only parked procs left; the survivors are
+// reported and unwound.
 func TestDeadlockDetectedByExitingProc(t *testing.T) {
 	k := NewKernel()
 	var sig Signal
@@ -227,10 +228,9 @@ func TestDeadlockDetectedByExitingProc(t *testing.T) {
 	}
 }
 
-// TestShutdownUnwindsMixedStates: on abort the kernel must unwind parked
+// TestShutdownUnwindsMixedStates: on abort the kernel must stop parked
 // procs, ready procs that have run before, and ready procs that have
-// never run, without leaking goroutines (completion of Run proves the
-// handshakes all happened).
+// never run (TestRunLeaksNoGoroutines checks that nothing is left).
 func TestShutdownUnwindsMixedStates(t *testing.T) {
 	// Spawn order matters: "parked" parks, "ran-then-ready" yields behind
 	// "bomb" in the FIFO, so when bomb panics the kernel must unwind one
@@ -255,9 +255,8 @@ func TestShutdownUnwindsMixedStates(t *testing.T) {
 	}
 }
 
-// TestSelfHandoffSkipsChannels: when a proc yields while being the only
-// ready proc (after readying itself), it must resume inline. Regression
-// guard for the self-handoff branch of schedule().
+// TestSelfHandoffSkipsChannels: a proc whose every receive finds data
+// never blocks, so it must run to the end on its first resume.
 func TestSelfHandoffSkipsChannels(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int]("loop")
@@ -278,9 +277,9 @@ func TestSelfHandoffSkipsChannels(t *testing.T) {
 }
 
 // TestHandoffSchedulingOrderMatchesFIFO re-pins the global ordering
-// contract: spawn order, ready FIFO, and event seq tiebreaks must be
-// exactly what the two-hop scheduler produced (the committed results/
-// tables depend on it).
+// contract: spawn order, ready FIFO, and event seq tiebreaks decide who
+// runs next, exactly as in every earlier scheduler (the committed
+// results/ tables depend on it).
 func TestHandoffSchedulingOrderMatchesFIFO(t *testing.T) {
 	k := NewKernel()
 	var got []string

@@ -1,24 +1,23 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel runs simulated processes ("procs") as goroutines but executes
-// exactly one of them at a time, passing a single run token around. All
-// simulation state is therefore mutated without data races and every run
-// is bit-for-bit reproducible: scheduling is decided only by the virtual
-// clock, a FIFO ready queue, and an event heap with a (LP, counter)
-// tiebreaker.
+// The kernel runs simulated processes ("procs") as coroutines (iter.Pull)
+// driven by one plain loop per kernel, so exactly one of them executes at
+// a time. All simulation state is therefore mutated without data races
+// and every run is bit-for-bit reproducible: scheduling is decided only by
+// the virtual clock, a FIFO ready queue, and an event heap with a (LP,
+// counter) tiebreaker.
 //
-// Scheduling is direct handoff ("hot potato"): there is no resident
-// scheduler goroutine. The scheduler step — ready-queue pop, event-heap
-// pop, clock advance, deadlock detection — executes inline in whichever
-// proc is currently giving up the token, which then hands the token
-// straight to the next proc (one goroutine switch per decision, not two).
-// When the parking proc turns out to be the next to run — in particular
-// when it sleeps and its own wakeup is the earliest live event — it
-// continues without any switch at all.
+// The driver (drive) asks the scheduler step (schedule) for the next
+// runnable proc — the step pops the ready queue, or fires due events,
+// advancing the clock, until one readies a proc — and resumes it. The
+// proc runs until it blocks, which yields straight back to the driver: a
+// coroutine switch, with no channel, no goroutine park and no trip
+// through the Go scheduler. A proc that sleeps while nothing else can
+// happen before its wakeup advances the clock in place and never yields.
 //
 // Procs interact with the kernel through blocking primitives (Sleep,
 // Signal.Wait, Semaphore.Acquire, Queue.Recv). When every proc is parked,
-// the inline scheduler pops the earliest event, advances the virtual clock
+// the scheduler step pops the earliest event, advances the virtual clock
 // to it, and fires its callback, which typically readies one or more
 // procs. If the ready queue and event heap are both empty while procs
 // remain parked, the run ends with a deadlock report naming each blocked
@@ -56,17 +55,22 @@ const (
 
 // Proc is a simulated process. A Proc handle is only valid inside the
 // function passed to Kernel.Spawn, and all of its methods must be called
-// from that function's goroutine.
+// from that function.
 type Proc struct {
 	k         *Kernel
 	id        int
 	lp        int32 // owning logical process (shard-local state domain)
 	name      string
-	run       chan struct{}
 	state     procState
 	blockedOn string
-	killed    bool
 	wake      func() // cached Sleep callback: one closure per proc, not per call
+
+	// The coroutine (see start): the driver calls resume to run the proc
+	// until it next blocks, the proc calls yield to block, and shutdown
+	// calls stop to unwind a proc that will never be resumed.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 }
 
 // ID returns the proc's dense index in spawn order.
@@ -84,8 +88,8 @@ func (p *Proc) LP() int { return int(p.lp) }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// errKilled is panicked inside proc goroutines that are parked when the
-// kernel shuts down (deadlock or abort), so their stacks unwind cleanly.
+// errKilled is panicked inside procs that are parked when the kernel
+// shuts down (deadlock or abort), so their stacks unwind cleanly.
 type errKilled struct{}
 
 // DeadlockError is returned by Kernel.Run when no event can advance the
@@ -144,12 +148,11 @@ func (e *PanicError) Error() string {
 // shard-invariant.
 type KernelStats struct {
 	Events uint64
-	// ContextSwitch counts actual goroutine handoffs of the run token.
-	// The previous two-hop scheduler (proc -> kernel goroutine -> proc)
-	// paid two switches per scheduling decision and reported one;
-	// direct handoff pays one, and zero when a proc resumes itself
-	// (sleep/yield fast paths), so the reported count now matches what
-	// the host actually pays.
+	// ContextSwitch counts proc resumes by the driver: each is one
+	// coroutine switch into a proc (and one back when it blocks or
+	// ends). A proc that blocks and is the next to run counts again, as
+	// it does go through the driver; the Sleep and Yield fast paths never
+	// block and count nothing.
 	ContextSwitch uint64
 	// HeapHighWater is the largest number of events pending at once —
 	// the scheduler's memory footprint peak. A host-side counter only;
@@ -201,16 +204,15 @@ type Kernel struct {
 
 	// Sharding. A standalone kernel has coord == nil and runs the legacy
 	// single-heap loop. Under a sharded Coordinator, windowed is true for
-	// shard kernels: schedule stops at horizon and reports the window's
-	// end on winDone instead of terminating, and cross-shard AtOn calls
-	// buffer into outbox (drained by the coordinator at barriers).
+	// shard kernels: schedule stops at horizon and ends the window instead
+	// of terminating, and cross-shard AtOn calls buffer into outbox
+	// (drained by the coordinator at barriers).
 	coord     *Coordinator
 	kidx      int
 	windowed  bool
 	horizon   Time
 	lookahead Duration
 	outbox    [][]outEvent
-	winDone   chan int
 
 	// watchdogAt aborts the run when the next live event would fire at
 	// or past it while procs are still alive (see SetWatchdog).
@@ -230,16 +232,11 @@ type Kernel struct {
 	fireSeq uint64
 	ties    [][]TiePair
 
-	// mainWake resumes Kernel.Run when the simulation terminates
-	// (completion, deadlock, or proc panic), and serves as the unwind
-	// handshake during shutdown. Buffered so the terminating token
-	// holder never blocks on it.
-	mainWake     chan struct{}
-	started      bool
-	shuttingDown bool  // exit paths hand back to shutdown(), not schedule()
-	termErr      error // deadlock error, nil on clean completion
-	failure      error // first proc panic, aborts the run
-	diag         func() string
+	started bool
+	last    *Proc // proc most recently resumed; blamed for callback panics
+	termErr error // deadlock or watchdog verdict, nil on clean completion
+	failure error // first proc or callback panic, aborts the run
+	diag    func() string
 
 	Stats KernelStats
 }
@@ -248,7 +245,6 @@ type Kernel struct {
 // simulation whose shared network LP is netLP.
 func newKernel(lpBase, lpCount, netLP int) *Kernel {
 	return &Kernel{
-		mainWake:   make(chan struct{}, 1),
 		lpBase:     int32(lpBase),
 		lpCount:    int32(lpCount),
 		netLP:      int32(netLP),
@@ -542,54 +538,30 @@ func (k *Kernel) SpawnOn(lp int, name string, body func(*Proc)) *Proc {
 		panic(fmt.Sprintf("sim: SpawnOn(%d) on kernel owning [%d,%d)", lp, k.lpBase, k.lpBase+k.lpCount))
 	}
 	p := &Proc{
-		k:    k,
-		id:   len(k.procs),
-		lp:   int32(lp),
-		name: name,
-		// Buffered: the handing-off goroutine deposits the token and
-		// returns to its own wait without rendezvousing, so a wakeup
-		// can never block the waker.
-		run:   make(chan struct{}, 1),
+		k:     k,
+		id:    len(k.procs),
+		lp:    int32(lp),
+		name:  name,
 		state: stateReady,
 	}
 	p.wake = func() { k.readyProc(p) }
+	p.start(body)
 	k.procs = append(k.procs, p)
 	k.ready.push(p)
 	k.alive++
-	go func() {
-		<-p.run // wait for the first token
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(errKilled); ok {
-					// Unwound by kernel shutdown: hand the token back to
-					// the shutdown loop without touching failure state.
-					p.state = stateDone
-					k.alive--
-					k.mainWake <- struct{}{}
-					return
-				}
-				if k.failure == nil {
-					k.failure = &PanicError{Proc: p.name, Value: r}
-				}
-			}
-			p.state = stateDone
-			k.alive--
-			if k.shuttingDown {
-				// A killed proc recovered errKilled itself (or finished
-				// while unwinding); still hand back to the shutdown loop.
-				k.mainWake <- struct{}{}
-				return
-			}
-			// Direct handoff: the exiting proc runs the scheduler and
-			// passes the token to the next proc (or ends the run/window).
-			k.schedule(nil)
-		}()
-		if p.killed {
-			panic(errKilled{})
-		}
-		body(p)
-	}()
 	return p
+}
+
+// exit ends the proc's coroutine, deferred around its body: a panic
+// other than a shutdown's errKilled becomes the run's failure.
+func (p *Proc) exit() {
+	if r := recover(); r != nil {
+		if _, killed := r.(errKilled); !killed && p.k.failure == nil {
+			p.k.failure = &PanicError{Proc: p.name, Value: r}
+		}
+	}
+	p.state = stateDone
+	p.k.alive--
 }
 
 // Run drives the simulation until every proc has finished and no live
@@ -597,10 +569,6 @@ func (k *Kernel) SpawnOn(lp int, name string, body func(*Proc)) *Proc {
 // *WatchdogError if the armed deadline expired, or a *PanicError if a
 // proc panicked. Run may only be called once, and not on a kernel owned
 // by a sharded Coordinator (use Coordinator.Run).
-//
-// Run is only a bootstrap/teardown shell: it hands the token to the first
-// proc and sleeps until a token holder declares the run over; scheduling
-// decisions happen inline in the procs themselves (see schedule).
 func (k *Kernel) Run() error {
 	if k.started {
 		panic("sim: Run called twice")
@@ -609,42 +577,44 @@ func (k *Kernel) Run() error {
 		panic("sim: Run on a sharded kernel; use Coordinator.Run")
 	}
 	k.started = true
-	k.schedule(nil)
-	<-k.mainWake
-	if k.failure != nil {
-		k.shutdown()
-		return k.failure
+	k.drive()
+	err := k.failure
+	if err == nil {
+		err = k.termErr
 	}
-	if k.termErr != nil {
-		k.shutdown()
-		return k.termErr
-	}
-	return nil
+	k.shutdown()
+	return err
 }
 
-// schedule is the scheduler step, executed inline by the current token
-// holder when it gives up the token: a parking proc, an exiting proc
-// (self == nil), a window-driving goroutine, or Run at bootstrap
-// (self == nil). It fires due events until a proc is runnable, then
-// hands the token over. It returns true if self was selected to keep
-// running — the caller continues without any goroutine switch — and
-// false if the token went elsewhere (or the run/window ended), in which
-// case a parking caller must wait on its own run channel.
-//
-// After the `p.run <-` send the caller may execute a few more
-// instructions before blocking, concurrently with the woken proc; it
-// must touch no simulation state in that window (the send is the last
-// shared-state operation on every path).
-func (k *Kernel) schedule(self *Proc) bool {
-	for {
-		if k.failure != nil {
-			if k.windowed {
-				k.endWindow()
-			} else {
-				k.terminate(nil)
+// drive runs the kernel until the run (standalone) or the window
+// (sharded) is over: it resumes each proc the scheduler step picks, and
+// each proc runs until it blocks or ends. Event callbacks fire here, on
+// the driver, so a callback panic is recovered here and blamed on the
+// proc that ran last, the proc whose blocking let the event fire.
+func (k *Kernel) drive() {
+	defer func() {
+		if r := recover(); r != nil && k.failure == nil {
+			name := "event callback"
+			if k.last != nil {
+				name = k.last.name
 			}
-			return false
+			k.failure = &PanicError{Proc: name, Value: r}
 		}
+	}()
+	for p := k.schedule(); p != nil; p = k.schedule() {
+		k.last = p
+		k.Stats.ContextSwitch++
+		p.resume()
+	}
+}
+
+// schedule is the scheduler step: it fires due events until a proc is
+// ready and returns that proc, marked running. It returns nil when the
+// run is over, leaving any deadlock or watchdog verdict in termErr, and
+// for a shard kernel when its window is exhausted below the horizon; the
+// coordinator then decides what happens next.
+func (k *Kernel) schedule() *Proc {
+	for k.failure == nil {
 		if k.ready.len() > 0 {
 			p := k.ready.pop()
 			if p.state == stateDone {
@@ -652,90 +622,56 @@ func (k *Kernel) schedule(self *Proc) bool {
 			}
 			p.state = stateRunning
 			k.curLP = p.lp
-			if p == self {
-				return true
-			}
-			k.Stats.ContextSwitch++
-			p.run <- struct{}{}
-			return false
+			return p
 		}
 		e := k.popEventBefore(k.horizon)
 		if e == nil {
-			if k.windowed {
-				// The window is exhausted; the coordinator decides what
-				// happens next (another window, termination, a verdict).
-				k.endWindow()
-				return false
-			}
 			switch {
-			case k.alive == 0:
-				k.terminate(nil) // clean completion
+			case k.windowed, k.alive == 0:
+				// Window exhausted, or clean completion.
 			case k.watchdogAt < maxTime:
-				k.terminate(k.watchdogErr("none"))
+				k.termErr = k.watchdogErr("none")
 			default:
-				k.terminate(k.deadlock())
+				k.termErr = k.deadlock()
 			}
-			return false
+			return nil
 		}
 		if e.at >= k.watchdogAt {
 			if k.alive > 0 {
-				k.terminate(k.watchdogErr(fmt.Sprintf("t=%v", e.at)))
-				return false
+				k.termErr = k.watchdogErr(fmt.Sprintf("t=%v", e.at))
+				return nil
 			}
 			// Everything finished before the deadline: disarm and drain.
 			k.watchdogAt = maxTime
 		}
-		if e.at > k.now {
-			k.now = e.at
-		}
-		k.Stats.Events++
-		k.curLP = e.exec
-		if k.explore != nil {
-			k.noteFire(e.at, e.raw, e.born, e.exec)
-		}
-		fn := e.fn
-		k.recycle(e)
-		fn()
+		k.fire(e)
 	}
-}
-
-// endWindow reports this shard's window as exhausted to the coordinator.
-// Called exactly once per window, by whichever token holder runs out of
-// work below the horizon.
-func (k *Kernel) endWindow() {
-	k.winDone <- k.kidx
+	return nil
 }
 
 // runWindow executes this kernel's events below the horizon inline on
 // the calling goroutine. Used by the coordinator for the network kernel,
 // which has events but no procs.
 func (k *Kernel) runWindow() {
-	for {
-		e := k.popEventBefore(k.horizon)
-		if e == nil {
-			return
-		}
-		if e.at > k.now {
-			k.now = e.at
-		}
-		k.Stats.Events++
-		k.curLP = e.exec
-		if k.explore != nil {
-			k.noteFire(e.at, e.raw, e.born, e.exec)
-		}
-		fn := e.fn
-		k.recycle(e)
-		fn()
+	for e := k.popEventBefore(k.horizon); e != nil; e = k.popEventBefore(k.horizon) {
+		k.fire(e)
 	}
 }
 
-// terminate ends the run: it records the verdict and wakes Run, which
-// owns teardown. Called exactly once per run, by whichever token holder
-// discovers termination. The deadlocked/parked procs (including, for a
-// deadlock, the very proc that detected it) are unwound by shutdown.
-func (k *Kernel) terminate(err error) {
-	k.termErr = err
-	k.mainWake <- struct{}{}
+// fire advances the clock to a popped live event and runs its callback
+// as the event's LP.
+func (k *Kernel) fire(e *Event) {
+	if e.at > k.now {
+		k.now = e.at
+	}
+	k.Stats.Events++
+	k.curLP = e.exec
+	if k.explore != nil {
+		k.noteFire(e.at, e.raw, e.born, e.exec)
+	}
+	fn := e.fn
+	k.recycle(e)
+	fn()
 }
 
 // deadlock builds the error naming every parked proc.
@@ -760,24 +696,14 @@ func (k *Kernel) blockedDump() []string {
 	return blocked
 }
 
-// shutdown unwinds every parked proc so no goroutines leak after a failed
-// run. It runs on the Run goroutine (or the coordinator), which holds the
-// token once the run is over; unwinding procs hand back via mainWake, not
-// the scheduler.
+// shutdown stops every unfinished proc's coroutine so no goroutines leak
+// after a failed run: a parked proc unwinds through errKilled, and a proc
+// that never ran exits without running its body.
 func (k *Kernel) shutdown() {
-	k.shuttingDown = true
 	for _, p := range k.procs {
-		if p.state == stateBlocked || p.state == stateReady {
-			p.killed = true
-		}
-	}
-	// Wake parked procs one at a time; each unwinds via errKilled and
-	// hands back. Ready-but-never-run procs are woken the same way.
-	for _, p := range k.procs {
-		if p.state == stateBlocked || p.state == stateReady {
-			p.state = stateRunning
-			p.run <- struct{}{}
-			<-k.mainWake
+		if p.state != stateDone {
+			p.stop()
+			p.state = stateDone
 		}
 	}
 	k.ready.reset()
@@ -794,50 +720,36 @@ func (k *Kernel) readyProc(p *Proc) {
 }
 
 // park blocks the calling proc until something readies it. why is shown in
-// deadlock reports. The parking proc runs the scheduler inline; if it
-// readies itself before anything else becomes runnable (firing its own
-// wakeup event, say), it resumes with zero goroutine switches.
+// deadlock reports. The proc yields to the driver, which resumes it once
+// the scheduler step picks it again; if shutdown stops it instead, it
+// unwinds with errKilled.
 func (p *Proc) park(why string) {
-	if p.killed {
-		panic(errKilled{})
-	}
 	p.state = stateBlocked
 	p.blockedOn = why
-	if !p.k.schedule(p) {
-		<-p.run
-		if p.killed {
-			panic(errKilled{})
-		}
-	}
+	p.suspend()
 	p.blockedOn = ""
 }
 
-// yieldNow gives other ready procs a chance to run at the same instant.
-// With an empty ready queue nothing could interleave, so it returns
-// immediately without touching the scheduler.
-func (p *Proc) yieldNow(why string) {
-	if p.killed {
+// suspend yields the proc's coroutine to the driver, having left the proc
+// blocked or ready, and returns when the driver resumes it.
+func (p *Proc) suspend() {
+	if !p.yield(struct{}{}) {
 		panic(errKilled{})
 	}
+}
+
+// Yield lets all other currently-ready procs run before continuing.
+// Virtual time does not advance. With an empty ready queue nothing could
+// interleave, so it returns immediately without touching the scheduler.
+func (p *Proc) Yield() {
 	k := p.k
 	if k.ready.len() == 0 {
 		return
 	}
-	p.state = stateBlocked
-	p.blockedOn = why
-	k.readyProc(p)
-	if !k.schedule(p) {
-		<-p.run
-		if p.killed {
-			panic(errKilled{})
-		}
-	}
-	p.blockedOn = ""
+	p.state = stateReady
+	k.ready.push(p)
+	p.suspend()
 }
-
-// Yield lets all other currently-ready procs run before continuing.
-// Virtual time does not advance.
-func (p *Proc) Yield() { p.yieldNow("yield") }
 
 // Sleep blocks the proc for d of virtual time. Negative d is treated as 0
 // but still yields.
@@ -846,13 +758,13 @@ func (p *Proc) Sleep(d Duration) {
 		d = 0
 	}
 	k := p.k
-	// Zero-handoff fast path: if no proc is ready, no event precedes
+	// Zero-switch fast path: if no proc is ready, no event precedes
 	// this proc's own wakeup, and the wakeup lands inside the current
 	// window and watchdog deadline, the wakeup is by construction the
 	// next thing to happen (it would carry the highest creation counter,
 	// so any event at the same instant fires first — hence the strict >).
 	// Advance the clock and keep running: no event scheduled, no park,
-	// no goroutine switch. Common in per-hop pipelined loops where one
+	// no switch to the driver. Common in per-hop pipelined loops where one
 	// rank repeatedly sleeps for transfer or overhead durations. Events
 	// merged from other shards always fire at or past the horizon, so
 	// skipping the heap cannot skip over them.

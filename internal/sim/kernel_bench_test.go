@@ -69,3 +69,28 @@ func BenchmarkEventScheduleFanout(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkHandoffPingPong measures the cost of one proc switch: two
+// procs take turns over a Signal, each firing it to ready the other and
+// then waiting on it, so every wait is one scheduling decision and one
+// switch to the other proc with no event in between. ns/switch divides
+// the run's time by Stats.ContextSwitch.
+func BenchmarkHandoffPingPong(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel()
+	var sig Signal
+	for _, name := range []string{"ping", "pong"} {
+		k.Spawn(name, func(p *Proc) {
+			for i := 0; i < b.N/2+1; i++ {
+				sig.Fire()
+				sig.Wait(p, name)
+			}
+			sig.Fire()
+		})
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(k.Stats.ContextSwitch), "ns/switch")
+}

@@ -279,7 +279,6 @@ func NewCoordinator(nodes, shards int, lookahead Duration) *Coordinator {
 		k.coord = c
 		k.kidx = i
 		k.windowed = true
-		k.winDone = c.winDone
 		k.outbox = make([][]outEvent, shards+1)
 		c.kernels[i] = k
 		c.winStart[i] = make(chan Time, 1)
@@ -463,7 +462,8 @@ func (c *Coordinator) Run() error {
 		go func() {
 			for h := range ch {
 				k.horizon = h
-				k.schedule(nil)
+				k.drive()
+				c.winDone <- k.kidx
 			}
 		}()
 	}
