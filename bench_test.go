@@ -150,3 +150,45 @@ func BenchmarkSimulatorAllreduceEvents(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRealAllreduce64 times the host data path of one real-data
+// allreduce: 8x8 ranks on cluster A, 1 MB of int64 per rank, one kernel
+// shard. Only World.Run is timed (and counted by -benchmem); building
+// the world and filling the inputs are not.
+func BenchmarkRealAllreduce64(b *testing.B) {
+	const elems = 1 << 17 // 1 MB of int64
+	for _, d := range []struct {
+		name string
+		spec Spec
+	}{
+		{"dpml-3", DPML(3)},
+		{"flat", Flat(AlgRecursiveDoubling)},
+	} {
+		b.Run(d.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				job, err := NewJob(ClusterA(), 8, 8)
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng := NewEngine(NewWorld(job, WorldConfig{Shards: 1}))
+				vecs := make([]*Vector, job.NumProcs())
+				for r := range vecs {
+					vecs[r] = NewVector(Int64, elems)
+					xs := vecs[r].Int64s()
+					for k := range xs {
+						xs[k] = int64(r + k)
+					}
+				}
+				b.StartTimer()
+				err = eng.W.Run(func(r *Rank) error {
+					return eng.Allreduce(r, d.spec, Sum, vecs[r.Rank()])
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -50,14 +50,17 @@ func (e *Engine) dpmlInstrumented(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, lead
 	rg := e.regions[pl.Node]
 	cnts, displs := mpi.BlockPartition(vec.Len(), leaders)
 
-	// Phase 1: concurrent gather of partitions into leader segments.
+	// Phase 1: concurrent gather of partitions into leader segments. The
+	// slot is a view of vec, not a copy: this rank writes partition j
+	// only in Phase 4, after ResultWait(j), and leader j publishes only
+	// after it has read every slot of j.
 	start := r.Now()
 	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, start)
 	for j := 0; j < leaders; j++ {
 		part := vec.Slice(displs[j], displs[j]+cnts[j])
 		cross := pl.Socket != e.leaderSocket[j]
 		r.MemCopy(cross, part.Bytes())
-		rg.Put(seq, leaders, j, pl.LocalRank, part.Clone())
+		rg.Put(seq, leaders, j, pl.LocalRank, part)
 	}
 	sp.End(r.Now())
 	if pt != nil {

@@ -117,7 +117,7 @@ func (e *Engine) dualRoot(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, segments int
 			upRecv[t][s] = make([]*mpi.Request, len(topo[t].children))
 			upBuf[t][s] = make([]*mpi.Vector, len(topo[t].children))
 			for ci, ch := range topo[t].children {
-				buf := view.Clone()
+				buf := view.Like()
 				upBuf[t][s][ci] = buf
 				upRecv[t][s][ci] = r.Irecv(c, ch, upTag(t, s), buf)
 			}

@@ -50,7 +50,10 @@ func (e *Engine) Reduce(r *mpi.Rank, s Spec, op *mpi.Op, root int, vec *mpi.Vect
 	rg := e.regions[pl.Node]
 	cnts, displs := mpi.BlockPartition(vec.Len(), leaders)
 
-	// Phases 1-2: identical to allreduce.
+	// Phases 1-2: identical to allreduce, except that the slots hold
+	// snapshots, not views of vec: only the root waits for a result, so
+	// every other rank may return (and its caller reuse vec) before the
+	// leaders have read its partitions.
 	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
 	for j := 0; j < leaders; j++ {
 		part := vec.Slice(displs[j], displs[j]+cnts[j])

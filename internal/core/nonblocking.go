@@ -55,7 +55,9 @@ func (e *Engine) IAllreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) (*
 	h.cnts, h.displs = mpi.BlockPartition(vec.Len(), s.Leaders)
 	// Phase 1 runs now: by the time Wait is called, every local rank's
 	// partitions are in shared memory and leaders can gather without
-	// waiting on this rank.
+	// waiting on this rank. The slots hold snapshots, not views of vec:
+	// the caller runs its own code between IAllreduce and Wait and may
+	// write vec while the leaders are still reading.
 	for j := 0; j < s.Leaders; j++ {
 		part := vec.Slice(h.displs[j], h.displs[j]+h.cnts[j])
 		cross := pl.Socket != e.leaderSocket[j]

@@ -101,7 +101,7 @@ func (e *Engine) papSorted(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector) {
 	for b := 0; b < blocks; b++ {
 		views[b] = vec.Slice(displs[b], displs[b]+cnts[b])
 		if me > 0 {
-			bufs[b] = views[b].Clone()
+			bufs[b] = views[b].Like()
 			recvs[b] = r.Irecv(pc, me-1, wrapTagPAP(base, b), bufs[b])
 		}
 	}
@@ -163,7 +163,7 @@ func (e *Engine) papRing(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector) {
 		var bufs []*mpi.Vector
 		if me == 0 {
 			for i := cut; i < p; i++ {
-				buf := vec.Clone()
+				buf := vec.Like()
 				bufs = append(bufs, buf)
 				recvs = append(recvs, r.Irecv(pc, i, wrapTagPAP(base, i), buf))
 			}

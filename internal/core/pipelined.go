@@ -141,7 +141,7 @@ func (e *Engine) runPipelinedRab(r *mpi.Rank, c *mpi.Comm, op *mpi.Op, vec *mpi.
 	done := 0
 	for ci := 0; ci < k; ci++ {
 		view := vec.Slice(displs[ci], displs[ci]+cnts[ci])
-		ch := &chunkState{view: view, tmp: view.Clone(), mask: 1, phase: 0}
+		ch := &chunkState{view: view, tmp: view.Like(), mask: 1, phase: 0}
 		ch.cnts, ch.displs = mpi.BlockPartition(view.Len(), pof2)
 		ch.lo, ch.hi = 0, pof2
 		chunks[ci] = ch

@@ -54,11 +54,13 @@ func (e *Engine) sharpAllreduce(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, socket
 	rg := e.regions[pl.Node]
 
 	// Gather: full input to this rank's leader. Leader indices in the
-	// region are local rank numbers, so segments never collide.
+	// region are local rank numbers, so segments never collide. The slot
+	// is vec itself, not a copy: this rank writes vec only after
+	// ResultWait, and the leader publishes only after reading every slot.
 	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
 	cross := pl.Socket != e.leaderSocket[leader]
 	r.MemCopy(cross, vec.Bytes())
-	rg.Put(seq, ppn, leader, pl.LocalRank, vec.Clone())
+	rg.Put(seq, ppn, leader, pl.LocalRank, vec)
 	sp.End(r.Now())
 
 	if pl.LocalRank == leader {

@@ -120,6 +120,15 @@ func (v *Vector) Clone() *Vector {
 	return c
 }
 
+// Like returns a zeroed vector of v's datatype, length and phantomness,
+// sharing nothing with v: a receive buffer for a payload shaped like v.
+func (v *Vector) Like() *Vector {
+	if v.phantom {
+		return NewPhantom(v.dtype, v.n)
+	}
+	return NewVector(v.dtype, v.n)
+}
+
 // CopyFrom copies src's elements into v. Types and lengths must match.
 // Copies involving a phantom on either side only validate the shape.
 func (v *Vector) CopyFrom(src *Vector) {

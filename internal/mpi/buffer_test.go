@@ -81,6 +81,34 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
+func TestLikeIsZeroedAndIndependent(t *testing.T) {
+	for _, d := range []Datatype{Float32, Float64, Int32, Int64} {
+		v := NewVector(d, 6)
+		v.Fill(3)
+		// A view's Like must not reach back into the parent either.
+		src := v.Slice(1, 5)
+		l := src.Like()
+		if l.Type() != d || l.Len() != 4 || l.Phantom() {
+			t.Fatalf("%v: Like shape %v[%d] phantom=%v, want %v[4] real", d, l.Type(), l.Len(), l.Phantom(), d)
+		}
+		for i := 0; i < l.Len(); i++ {
+			if l.At(i) != 0 {
+				t.Fatalf("%v: Like element %d = %v, want 0", d, i, l.At(i))
+			}
+		}
+		l.Fill(9)
+		for i := 0; i < v.Len(); i++ {
+			if v.At(i) != 3 {
+				t.Fatalf("%v: writing Like changed source element %d to %v", d, i, v.At(i))
+			}
+		}
+	}
+	p := NewPhantom(Int64, 7).Like()
+	if !p.Phantom() || p.Type() != Int64 || p.Len() != 7 || p.Int64s() != nil {
+		t.Fatalf("phantom Like: %v[%d] phantom=%v storage=%v", p.Type(), p.Len(), p.Phantom(), p.Int64s() != nil)
+	}
+}
+
 func TestCopyFromMismatchPanics(t *testing.T) {
 	v := NewVector(Float64, 4)
 	for _, bad := range []*Vector{NewVector(Float64, 5), NewVector(Float32, 4)} {

@@ -122,7 +122,7 @@ func (r *Rank) ReduceScatterBlock(c *Comm, op *Op, vec, out *Vector) {
 	if p == 1 {
 		return
 	}
-	tmp := vec.Slice(0, bl).Clone()
+	tmp := vec.Slice(0, bl).Like()
 	for step := 1; step < p; step++ {
 		dst := (me + step) % p
 		src := (me - step + p) % p

@@ -25,6 +25,7 @@ type envelope struct {
 	key          msgKey
 	vec          *Vector
 	rendezvous   bool
+	borrowed     bool     // vec is the intra-node sender's own buffer, valid only inside deliver
 	sendReq      *Request // rendezvous: completes when the payload lands
 	srcRank      *Rank
 	recvOverhead sim.Duration // receiver CPU cost charged before completion
@@ -35,7 +36,9 @@ type envelope struct {
 // tag. The returned request completes when the send buffer is reusable:
 // immediately after local processing for eager messages, at payload
 // delivery for rendezvous messages. Intra-node sends perform the
-// shared-memory copy synchronously (the sending core does the memcpy).
+// shared-memory copy synchronously (the sending core does the memcpy):
+// into the posted receive buffer when one is waiting, else into a
+// transit clone parked as unexpected.
 func (r *Rank) Isend(c *Comm, dst, tag int, vec *Vector) *Request {
 	r.checkP2P(c, dst, tag, vec)
 	dstGlobal := c.Global(dst)
@@ -50,7 +53,7 @@ func (r *Rank) Isend(c *Comm, dst, tag int, vec *Vector) *Request {
 		// message is visible to the receiver.
 		cross := r.place.Socket != dstRank.place.Socket
 		r.MemCopy(cross, vec.Bytes())
-		dstRank.deliver(&envelope{key: key, vec: r.w.transitClone(r.place.Node, vec), srcRank: r})
+		dstRank.deliver(&envelope{key: key, vec: vec, borrowed: true, srcRank: r})
 		req.complete()
 		return req
 	}
@@ -127,7 +130,10 @@ func (r *Rank) SendRecv(c *Comm, dst, sendTag int, sendVec *Vector, src, recvTag
 
 // deliver hands an arriving envelope (eager payload or rendezvous RTS) to
 // this rank: match a posted receive or park it as unexpected. Runs in
-// simulation context (sender proc or event callback).
+// simulation context (sender proc or event callback). A borrowed payload
+// is copied straight into a matched receive; parking it snapshots the
+// sender's buffer into a transit clone, since the sender may reuse the
+// buffer as soon as deliver returns.
 func (r *Rank) deliver(env *envelope) {
 	if q := r.posted[env.key]; len(q) > 0 {
 		req := q[0]
@@ -143,6 +149,10 @@ func (r *Rank) deliver(env *envelope) {
 		}
 		return
 	}
+	if env.borrowed {
+		env.vec = r.w.transitClone(r.place.Node, env.vec)
+		env.borrowed = false
+	}
 	r.parkUnexpected(env)
 }
 
@@ -154,11 +164,11 @@ func (r *Rank) completeRecv(env *envelope, req *Request) {
 			req.vec.Bytes(), env.vec.Bytes(), env.key))
 	}
 	req.vec.CopyFrom(env.vec)
-	if !env.rendezvous {
+	if !env.rendezvous && !env.borrowed {
 		// Eager payloads ride in a transit clone that dies here; recycle
 		// it into this node's pool (it was drawn from the sender's).
-		// Rendezvous envelopes carry the sender's own buffer, which the
-		// pool must never capture.
+		// Rendezvous and borrowed envelopes carry the sender's own
+		// buffer, which the pool must never capture.
 		r.w.transitRelease(r.place.Node, env.vec)
 	}
 	env.vec = nil

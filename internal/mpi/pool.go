@@ -1,8 +1,11 @@
 package mpi
 
-// pool.go recycles the Vector clones that carry eager payloads while a
-// message is in flight. Every intra-node send and every eager inter-node
-// send clones the user's buffer into the envelope and the clone dies as
+// pool.go recycles the Vector clones that carry payloads while a message
+// is in flight. Only two kinds of message draw one: an eager inter-node
+// send, whose sender may reuse its buffer before the wire delivers it,
+// and an intra-node send that finds no posted receive and is parked as
+// unexpected. An intra-node send whose receive is already posted copies
+// straight into the receive buffer and never clones. Each clone dies as
 // soon as the receiver copies it out — at 10k ranks that is one
 // short-lived allocation per message, and the allocator (plus the GC
 // scans it induces) shows up in simulator profiles. The free lists are
@@ -23,10 +26,10 @@ type vecShape struct {
 	phantom bool
 }
 
-// transitClone returns a copy of v for an in-flight eager payload,
-// drawing the Vector (and, for real data, its storage) from node's free
-// list when a same-shape clone has been released there before. node must
-// be the calling context's node. The copy must be balanced by
+// transitClone returns a copy of v for an in-flight payload, drawing the
+// Vector (and, for real data, its storage) from node's free list when a
+// same-shape clone has been released there before. node must be the
+// calling context's node. The copy must be balanced by
 // transitRelease once the payload has been copied out — or leaked, which
 // is only ever a missed reuse, never a bug.
 func (w *World) transitClone(node int, v *Vector) *Vector {

@@ -16,7 +16,7 @@ func (r *Rank) Scan(c *Comm, op *Op, vec *Vector) {
 	// partial carries op(vec_{me-d+1..me}) as d grows; vec accumulates
 	// the final prefix.
 	partial := vec.Clone()
-	tmp := vec.Clone()
+	tmp := vec.Like()
 	round := 0
 	for d := 1; d < p; d <<= 1 {
 		var sq, rq *Request

@@ -73,8 +73,11 @@ func (rg *Region) op(seq uint64, leaders int) *opState {
 }
 
 // Put deposits local rank localRank's partition for leader into operation
-// seq. The vector is stored by reference: callers pass a snapshot that is
-// now "in shared memory". The copy cost must already have been charged.
+// seq. The vector is stored by reference, so the slot is a view of the
+// depositor's data: the depositor must not write part until leader's
+// result for seq is published (ResultWait returns it), or must pass a
+// snapshot if it cannot promise that. The copy cost must already have
+// been charged.
 func (rg *Region) Put(seq uint64, leaders, leader, localRank int, part *mpi.Vector) {
 	if leader < 0 || leader >= leaders {
 		panic(fmt.Sprintf("shmseg: Put leader %d of %d", leader, leaders))
