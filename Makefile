@@ -59,14 +59,13 @@ perfbench:
 	done
 
 # racecheck reruns the kernel, fabric, and MPI test packages under the
-# race detector with the event kernel split across four shards and the
-# network kernel's water-fill on two workers. Plain `race` covers
-# host-side parallelism (the sweep pool); this covers sim-side
-# parallelism — window barriers, cross-shard outboxes, the net kernel,
-# the component-parallel fill — where a missing happens-before edge
-# would corrupt virtual time itself.
+# race detector with the event kernel split across four shards. Plain
+# `race` covers host-side parallelism (the sweep pool); this covers
+# sim-side parallelism — window barriers, cross-shard outboxes, the net
+# kernel — where a missing happens-before edge would corrupt virtual
+# time itself.
 racecheck:
-	DPML_SHARDS=4 DPML_NET_SHARDS=2 $(GO) test -race -count=1 ./internal/sim/ ./internal/fabric/ ./internal/mpi/
+	DPML_SHARDS=4 $(GO) test -race -count=1 ./internal/sim/ ./internal/fabric/ ./internal/mpi/
 
 # faultsmoke runs the fault-injection and watchdog tests twice (-count=2):
 # every fault class against a design (bench fault matrix), graceful SHArP
@@ -88,7 +87,7 @@ explorecheck:
 		-systematic -max-schedules 200 -min-distinct 100 -o /dev/null
 	$(GO) run ./cmd/dpml-verify -designs all -faults ';all@0.7' -fault-seed 7 \
 		-schedules 32 -explore-seed 1 -o /dev/null
-	DPML_SHARDS=4 DPML_NET_SHARDS=2 $(GO) test -race -count=1 ./internal/explore/
+	DPML_SHARDS=4 $(GO) test -race -count=1 ./internal/explore/
 
 # grandprixsmoke runs the cross-family ranking figure at reduced scale
 # (one 4x4 shape instead of 8x8 + 16x16): every design family must

@@ -26,16 +26,21 @@ import (
 func main() {
 	var (
 		app         = flag.String("app", "hpcg", "workload: hpcg, miniamr, or dnn")
-		clusterName = flag.String("cluster", "A", "cluster: A, B, C, or D")
+		clusterName = flag.String("cluster", "A", "cluster: A, B, C, D, or E")
 		nodes       = flag.Int("nodes", 4, "number of nodes")
 		ppn         = flag.Int("ppn", 8, "processes per node")
-		lib         = flag.String("lib", "proposed", "library for miniamr/dnn: mvapich2, intelmpi, proposed")
+		lib         = flag.String("lib", "proposed", "library for miniamr/dnn: mvapich2, intelmpi, proposed, pap-aware")
 		design      = flag.String("design", "host", "hpcg DDOT design: host, sharp-node, sharp-socket")
 		iters       = flag.Int("iters", 20, "CG iterations (hpcg)")
 		steps       = flag.Int("steps", 3, "refinement/training steps (miniamr, dnn)")
 		bucket      = flag.Int("bucket", 0, "gradient bucket bytes (dnn; 0 = per layer)")
 	)
 	flag.Parse()
+	library, err := core.ParseLibrary(*lib)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dpml-apps:", err)
+		os.Exit(2) // usage error: before any simulation runs
+	}
 
 	cl := topology.ByName(*clusterName)
 	if cl == nil {
@@ -68,7 +73,7 @@ func main() {
 			res.DDOTTime, res.TotalTime, res.ResidualDrop, res.Iterations)
 	case "miniamr":
 		res, err := miniamr.Run(e, miniamr.Config{
-			BlocksPerRank: 32, BlockBytes: 4096, Steps: *steps, Library: core.Library(*lib),
+			BlocksPerRank: 32, BlockBytes: 4096, Steps: *steps, Library: library,
 		})
 		if err != nil {
 			fatal(err)
@@ -76,7 +81,7 @@ func main() {
 		fmt.Printf("  refinement time %v over %d steps (library %s)\n", res.RefineTime, res.Steps, *lib)
 	case "dnn":
 		res, err := dnn.Run(e, dnn.Config{
-			Layers: dnn.ResNet50ish(), Steps: *steps, BucketBytes: *bucket, Library: core.Library(*lib),
+			Layers: dnn.ResNet50ish(), Steps: *steps, BucketBytes: *bucket, Library: library,
 		})
 		if err != nil {
 			fatal(err)

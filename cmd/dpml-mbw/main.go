@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		clusterName = flag.String("cluster", "C", "cluster: A, B, C, or D")
+		clusterName = flag.String("cluster", "C", "cluster: A, B, C, D, or E")
 		intra       = flag.Bool("intra", false, "place both ends of each pair on one node")
 		pairsFlag   = flag.String("pairs", "1,2,4,8,16", "comma-separated pair counts")
 		sizesFlag   = flag.String("sizes", "4,64,1024,16384,262144,1048576", "comma-separated message sizes in bytes")

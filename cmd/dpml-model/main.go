@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		clusterName = flag.String("cluster", "B", "cluster: A, B, C, or D")
+		clusterName = flag.String("cluster", "B", "cluster: A, B, C, D, or E")
 		nodes       = flag.Int("nodes", 16, "number of nodes")
 		ppn         = flag.Int("ppn", 28, "processes per node")
 		leaders     = flag.Int("leaders", 0, "leader count for the breakdown (0 = model optimum)")

@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		clusterName = flag.String("cluster", "B", "cluster: A, B, C, or D")
+		clusterName = flag.String("cluster", "B", "cluster: A, B, C, D, or E")
 		nodes       = flag.Int("nodes", 4, "number of nodes")
 		ppn         = flag.Int("ppn", 8, "processes per node")
 		design      = flag.String("design", "dpml", "design: flat, dpml, dpml-pipelined, sharp-node-leader, sharp-socket-leader, dualroot, genall, pap-sorted, pap-ring")
@@ -36,7 +36,7 @@ func main() {
 		segments    = flag.Int("segments", 0, "pipeline segments per half for dualroot (0 = size-driven)")
 		groups      = flag.Int("groups", 0, "group size for genall (0 = size-driven)")
 		alg         = flag.String("alg", "", "flat algorithm / inter-leader override")
-		lib         = flag.String("lib", "", "library selector instead of -design: mvapich2, intelmpi, proposed")
+		lib         = flag.String("lib", "", "library selector instead of -design: mvapich2, intelmpi, proposed, pap-aware")
 		sizesFlag   = flag.String("sizes", "4,64,1024,16384,262144,1048576", "comma-separated message sizes in bytes")
 		iters       = flag.Int("iters", 5, "timed iterations per size")
 		warmup      = flag.Int("warmup", 1, "warmup iterations per size")
@@ -47,14 +47,18 @@ func main() {
 		faultSeed   = flag.Uint64("fault-seed", 0, "seed for fault-plan instantiation")
 		watchdog    = flag.Duration("watchdog", 0, "virtual-time deadline per simulated job; a job not finished by then aborts with a diagnostic naming the blocked ranks (0 = off)")
 		shards      = flag.Int("shards", 0, "kernel shards per simulated job (parallelize one run across threads; 0 = DPML_SHARDS env or 1); output is bit-identical for every value")
-		netShards   = flag.Int("netshards", 0, "water-fill workers for the network kernel's independent link components (0 = DPML_NET_SHARDS env or 1); output is bit-identical for every value")
 	)
 	flag.Parse()
+	var library core.Library
+	if *lib != "" {
+		var err error
+		if library, err = core.ParseLibrary(*lib); err != nil {
+			fmt.Fprintln(os.Stderr, "dpml-osu:", err)
+			os.Exit(2) // usage error: before any simulation runs
+		}
+	}
 	if *shards > 0 {
 		mpi.SetDefaultShards(*shards)
-	}
-	if *netShards > 0 {
-		mpi.SetDefaultNetShards(*netShards)
 	}
 
 	stopProf, err := bench.StartProfiles(*cpuProf, *memProf)
@@ -95,8 +99,8 @@ func main() {
 
 	var choose bench.SpecChooser
 	label := ""
-	if *lib != "" {
-		choose = bench.LibrarySpec(core.Library(*lib))
+	if library != "" {
+		choose = bench.LibrarySpec(library)
 		label = *lib
 	} else {
 		spec := core.Spec{

@@ -26,13 +26,13 @@ import (
 
 func main() {
 	var (
-		clusterName = flag.String("cluster", "B", "cluster: A, B, C, or D")
+		clusterName = flag.String("cluster", "B", "cluster: A, B, C, D, or E")
 		nodes       = flag.Int("nodes", 4, "number of nodes")
 		ppn         = flag.Int("ppn", 8, "processes per node")
 		design      = flag.String("design", "dpml", "design (see dpml-osu)")
 		leaders     = flag.Int("leaders", 4, "DPML leaders per node")
 		chunks      = flag.Int("chunks", 4, "pipeline depth")
-		lib         = flag.String("lib", "", "library selector instead of -design")
+		lib         = flag.String("lib", "", "library selector instead of -design: mvapich2, intelmpi, proposed, pap-aware")
 		bytes       = flag.Int("bytes", 64<<10, "message size")
 		iters       = flag.Int("iters", 2, "allreduce iterations")
 		csvPath     = flag.String("csv", "", "write the raw event log to this file")
@@ -42,9 +42,16 @@ func main() {
 		critpath    = flag.Bool("critpath", false, "print the critical path and per-phase slack")
 		metricsFlag = flag.Bool("metrics", false, "print the metrics-registry snapshot")
 		shards      = flag.Int("shards", 0, "kernel shards (parallelize the run across threads; 0 = DPML_SHARDS env or 1); trace output is bit-identical for every value")
-		netShards   = flag.Int("netshards", 0, "water-fill workers for the network kernel's independent link components (0 = DPML_NET_SHARDS env or 1); trace output is bit-identical for every value")
 	)
 	flag.Parse()
+	var library core.Library
+	if *lib != "" {
+		var err error
+		if library, err = core.ParseLibrary(*lib); err != nil {
+			fmt.Fprintln(os.Stderr, "dpml-trace:", err)
+			os.Exit(2) // usage error: before any simulation runs
+		}
+	}
 
 	cl := topology.ByName(*clusterName)
 	if cl == nil {
@@ -55,12 +62,12 @@ func main() {
 		fatal(err)
 	}
 	rec := trace.New(*limit)
-	w := mpi.NewWorld(job, mpi.Config{Trace: rec, Shards: *shards, NetShards: *netShards})
+	w := mpi.NewWorld(job, mpi.Config{Trace: rec, Shards: *shards})
 	e := core.NewEngine(w)
 
 	var choose bench.SpecChooser
-	if *lib != "" {
-		choose = bench.LibrarySpec(core.Library(*lib))
+	if library != "" {
+		choose = bench.LibrarySpec(library)
 	} else {
 		choose = bench.FixedSpec(core.Spec{
 			Design:  core.Design(*design),

@@ -83,14 +83,12 @@ func TestCrossDesignDeterminism(t *testing.T) {
 
 // TestShardDeterminismMatrix is the sharded-kernel analogue: the same
 // scenario must digest identically for every combination of kernel shard
-// count, network shard count, GOMAXPROCS, and sweep -j worker count.
-// Shards partition the event heap itself (intra-run parallelism),
-// netshards parallelize the network kernel's water-fill over independent
-// link components, -j replicates whole worlds (inter-run parallelism) —
-// the three must compose without any of them leaking host scheduling
-// into virtual time. Jitter and the rendezvous path are both enabled so
-// the per-rank noise streams and the cross-shard RTS/CTS/payload handoff
-// are exercised, not just eager traffic.
+// count, GOMAXPROCS, and sweep -j worker count. Shards partition the
+// event heap itself (intra-run parallelism), -j replicates whole worlds
+// (inter-run parallelism) — the two must compose without either leaking
+// host scheduling into virtual time. Jitter and the rendezvous path are
+// both enabled so the per-rank noise streams and the cross-shard
+// RTS/CTS/payload handoff are exercised, not just eager traffic.
 func TestShardDeterminismMatrix(t *testing.T) {
 	designs := []struct {
 		name string
@@ -106,12 +104,11 @@ func TestShardDeterminismMatrix(t *testing.T) {
 	}
 	sizes := []int{8, 4 << 10, 1 << 20} // 1 MB forces rendezvous transfers
 
-	digestRun := func(shards, netShards, gomaxprocs, workers int) []string {
+	digestRun := func(shards, gomaxprocs, workers int) []string {
 		old := runtime.GOMAXPROCS(gomaxprocs)
 		defer runtime.GOMAXPROCS(old)
 		cfg := mpi.Config{
 			Shards:     shards,
-			NetShards:  netShards,
 			Jitter:     200, // ns of per-message noise, exercising the rank streams
 			JitterSeed: 42,
 		}
@@ -141,21 +138,21 @@ func TestShardDeterminismMatrix(t *testing.T) {
 		return digests
 	}
 
-	configs := []struct{ shards, netShards, gomaxprocs, workers int }{
-		{1, 1, 1, 1}, // serial kernel, serial fill, serial host: the reference
-		{2, 1, 1, 2},
-		{2, 4, 4, 1}, // parallel fill under a sharded kernel
-		{4, 2, 2, 2},
-		{1, 8, 2, 1}, // serial kernel, heavily parallel fill
-		{8, 3, 4, 3}, // more shards than nodes/2: clamping path
+	configs := []struct{ shards, gomaxprocs, workers int }{
+		{1, 1, 1}, // serial kernel, serial host: the reference
+		{2, 1, 2},
+		{2, 4, 1},
+		{4, 2, 2},
+		{1, 2, 1}, // serial kernel on a multi-threaded host
+		{8, 4, 3}, // more shards than nodes/2: clamping path
 	}
-	base := digestRun(configs[0].shards, configs[0].netShards, configs[0].gomaxprocs, configs[0].workers)
+	base := digestRun(configs[0].shards, configs[0].gomaxprocs, configs[0].workers)
 	for _, cfg := range configs[1:] {
-		got := digestRun(cfg.shards, cfg.netShards, cfg.gomaxprocs, cfg.workers)
+		got := digestRun(cfg.shards, cfg.gomaxprocs, cfg.workers)
 		for i, d := range designs {
 			if got[i] != base[i] {
-				t.Errorf("%s: digest at shards=%d netshards=%d GOMAXPROCS=%d -j%d differs from serial reference: %s vs %s",
-					d.name, cfg.shards, cfg.netShards, cfg.gomaxprocs, cfg.workers, got[i], base[i])
+				t.Errorf("%s: digest at shards=%d GOMAXPROCS=%d -j%d differs from serial reference: %s vs %s",
+					d.name, cfg.shards, cfg.gomaxprocs, cfg.workers, got[i], base[i])
 			}
 		}
 	}

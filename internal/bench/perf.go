@@ -29,13 +29,9 @@ type PerfScenario struct {
 	// Shards is the kernel shard count the scenario ran with (0 in old
 	// baselines, meaning 1). Events is identical across shard counts of
 	// the same scenario; wall time is what sharding buys.
-	Shards int `json:"shards,omitempty"`
-	// NetShards is the network kernel's water-fill worker count (0 in
-	// old baselines, meaning 1). Like Shards it never changes Events —
-	// only wall time.
-	NetShards int    `json:"netshards,omitempty"`
-	Events    uint64 `json:"events"`
-	Switches  uint64 `json:"context_switches"`
+	Shards   int    `json:"shards,omitempty"`
+	Events   uint64 `json:"events"`
+	Switches uint64 `json:"context_switches"`
 	// Rounds is the number of coordinator window rounds the sharded run
 	// used (0 for the serial kernel). With adaptive horizons this is the
 	// direct measure of barrier batching: fewer rounds per event means
@@ -71,12 +67,12 @@ type PerfReport struct {
 
 // perfScenario times `iters` back-to-back allreduces on a fresh world and
 // reads the kernel's event counters afterwards.
-func perfScenario(name string, cl *topology.Cluster, nodes, ppn, shards, netShards int, spec core.Spec, bytes, iters int) (PerfScenario, error) {
+func perfScenario(name string, cl *topology.Cluster, nodes, ppn, shards int, spec core.Spec, bytes, iters int) (PerfScenario, error) {
 	job, err := topology.NewJob(cl, nodes, ppn)
 	if err != nil {
 		return PerfScenario{}, err
 	}
-	w := mpi.NewWorld(job, mpi.Config{Shards: shards, NetShards: netShards})
+	w := mpi.NewWorld(job, mpi.Config{Shards: shards})
 	e := core.NewEngine(w)
 	start := time.Now()
 	err = w.Run(func(r *mpi.Rank) error {
@@ -97,7 +93,6 @@ func perfScenario(name string, cl *topology.Cluster, nodes, ppn, shards, netShar
 		Name:          name,
 		Procs:         job.NumProcs(),
 		Shards:        w.Shards(),
-		NetShards:     w.NetShards(),
 		Events:        stats.Events,
 		Switches:      stats.ContextSwitch,
 		Rounds:        w.Coordinator().Rounds(),
@@ -135,7 +130,6 @@ func SimPerfFiltered(opt Options, match string) (*PerfReport, error) {
 		cl         *topology.Cluster
 		nodes, ppn int
 		shards     int
-		netShards  int
 		spec       core.Spec
 		bytes      int
 		iters      int
@@ -144,41 +138,36 @@ func SimPerfFiltered(opt Options, match string) (*PerfReport, error) {
 		// Iteration counts keep every scenario's wall time well above the
 		// sub-50ms regime where one scheduler hiccup on a small host swings
 		// events/sec by more than CheckRegression's tolerance.
-		{"allreduce-dpml8-64KB-8x8", topology.ClusterB(), 8, 8, 1, 1, core.DPML(8), 64 << 10, 60},
-		{"allreduce-flat-rd-64KB-8x8", topology.ClusterB(), 8, 8, 1, 1, core.Flat(mpi.AlgRecursiveDoubling), 64 << 10, 120},
-		{"allreduce-dpml8-1MB-8x8", topology.ClusterC(), 8, 8, 1, 1, core.DPML(8), 1 << 20, 40},
-		{"allreduce-sharp-node-256B-8x8", topology.ClusterA(), 8, 8, 1, 1, core.Spec{Design: core.DesignSharpNode}, 256, 600},
+		{"allreduce-dpml8-64KB-8x8", topology.ClusterB(), 8, 8, 1, core.DPML(8), 64 << 10, 60},
+		{"allreduce-flat-rd-64KB-8x8", topology.ClusterB(), 8, 8, 1, core.Flat(mpi.AlgRecursiveDoubling), 64 << 10, 120},
+		{"allreduce-dpml8-1MB-8x8", topology.ClusterC(), 8, 8, 1, core.DPML(8), 1 << 20, 40},
+		{"allreduce-sharp-node-256B-8x8", topology.ClusterA(), 8, 8, 1, core.Spec{Design: core.DesignSharpNode}, 256, 600},
 		// The extension families' representative: the dual-root pipelined
 		// tree posts every receive up front, so its event density per
 		// allreduce is the highest of the new designs.
-		{"allreduce-dualroot-s4-64KB-8x8", topology.ClusterB(), 8, 8, 1, 1, core.DualRoot(4), 64 << 10, 60},
+		{"allreduce-dualroot-s4-64KB-8x8", topology.ClusterB(), 8, 8, 1, core.DualRoot(4), 64 << 10, 60},
 		// The fig10 job shape: 10,240 ranks in one world, the scale at
 		// which ready-queue and flow-removal complexity dominates. Runs
 		// even with Quick (it is one world, not a figure sweep). The
 		// shardsN variants rerun it with the kernel partitioned across
-		// that many threads, and the netshardsN variants additionally
-		// water-fill independent link components on that many workers:
-		// identical Events, shrinking wall time — the suite's single-run
-		// parallel-scaling measurement.
-		{"allreduce-dpml16-64KB-160x64", topology.ClusterD(), 160, 64, 1, 1, core.DPML(16), 64 << 10, 2},
-		{"allreduce-dpml16-64KB-160x64-shards2", topology.ClusterD(), 160, 64, 2, 1, core.DPML(16), 64 << 10, 2},
-		{"allreduce-dpml16-64KB-160x64-shards4", topology.ClusterD(), 160, 64, 4, 1, core.DPML(16), 64 << 10, 2},
-		{"allreduce-dpml16-64KB-160x64-shards8", topology.ClusterD(), 160, 64, 8, 1, core.DPML(16), 64 << 10, 2},
-		{"allreduce-dpml16-64KB-160x64-netshards4", topology.ClusterD(), 160, 64, 1, 4, core.DPML(16), 64 << 10, 2},
-		{"allreduce-dpml16-64KB-160x64-shards4-netshards4", topology.ClusterD(), 160, 64, 4, 4, core.DPML(16), 64 << 10, 2},
+		// that many threads: identical Events, shrinking wall time — the
+		// suite's single-run parallel-scaling measurement.
+		{"allreduce-dpml16-64KB-160x64", topology.ClusterD(), 160, 64, 1, core.DPML(16), 64 << 10, 2},
+		{"allreduce-dpml16-64KB-160x64-shards2", topology.ClusterD(), 160, 64, 2, core.DPML(16), 64 << 10, 2},
+		{"allreduce-dpml16-64KB-160x64-shards4", topology.ClusterD(), 160, 64, 4, core.DPML(16), 64 << 10, 2},
+		{"allreduce-dpml16-64KB-160x64-shards8", topology.ClusterD(), 160, 64, 8, core.DPML(16), 64 << 10, 2},
 		// The exascale regime the partitioned NET kernel exists for:
 		// 4096 nodes x 28 ppn = 114,688 ranks in one world (cluster E,
 		// 128 leaf subtrees, oversubscribed core). One allreduce at this
 		// scale exercises every sharded path at once; Events stays
-		// identical across shard and netshard counts like every other
-		// scenario.
-		{"allreduce-dpml14-64KB-4096x28-exa", topology.ClusterE(), 4096, 28, 4, 4, core.DPML(14), 64 << 10, 1},
+		// identical across shard counts like every other scenario.
+		{"allreduce-dpml14-64KB-4096x28-exa", topology.ClusterE(), 4096, 28, 4, core.DPML(14), 64 << 10, 1},
 	}
 	for _, sc := range scenarios {
 		if match != "" && !strings.Contains(sc.name, match) {
 			continue
 		}
-		s, err := perfScenario(sc.name, sc.cl, sc.nodes, sc.ppn, sc.shards, sc.netShards, sc.spec, sc.bytes, sc.iters)
+		s, err := perfScenario(sc.name, sc.cl, sc.nodes, sc.ppn, sc.shards, sc.spec, sc.bytes, sc.iters)
 		if err != nil {
 			return nil, err
 		}
@@ -218,9 +207,9 @@ func SimPerfFiltered(opt Options, match string) (*PerfReport, error) {
 // scenario must not break CI).
 //
 // When the baseline was recorded at a different GOMAXPROCS than this
-// run, wall-clock ratios for multi-threaded scenarios (shards or
-// netshards > 1 on either side) compare incommensurable machines: a
-// single-core baseline records honest coordination overhead, a
+// run, wall-clock ratios for multi-threaded scenarios (shards > 1 on
+// either side) compare incommensurable machines: a single-core
+// baseline records honest coordination overhead, a
 // multi-core run records speedup, and gating one against the other
 // mis-fires in both directions. Those scenarios are annotated in the
 // returned notes instead of gated; single-threaded scenarios still gate
@@ -250,7 +239,7 @@ func CheckRegression(r, baseline *PerfReport, tol float64) (notes []string, err 
 			}
 		}
 		slow := s.EventsPerSec < (1-scTol)*b.EventsPerSec
-		if crossHost && (s.Shards > 1 || s.NetShards > 1 || b.Shards > 1 || b.NetShards > 1) {
+		if crossHost && (s.Shards > 1 || b.Shards > 1) {
 			if slow {
 				notes = append(notes, fmt.Sprintf("%s: %.0f events/sec vs baseline %.0f (-%.0f%%); not gated, gomaxprocs differs",
 					s.Name, s.EventsPerSec, b.EventsPerSec, 100*(1-s.EventsPerSec/b.EventsPerSec)))

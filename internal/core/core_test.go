@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dpml/internal/mpi"
@@ -355,5 +356,37 @@ func TestLibraryAllreduceUnknownName(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestParseLibrary(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Library
+		ok   bool
+	}{
+		{"mvapich2", LibMVAPICH2, true},
+		{"intelmpi", LibIntelMPI, true},
+		{"proposed", LibProposed, true},
+		{"pap-aware", LibPAPAware, true},
+		{"bogus", "", false},
+	} {
+		got, err := ParseLibrary(tc.name)
+		if tc.ok {
+			if err != nil || got != tc.want {
+				t.Errorf("ParseLibrary(%q) = %q, %v; want %q", tc.name, got, err, tc.want)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("ParseLibrary(%q) accepted an unknown name as %q", tc.name, got)
+			continue
+		}
+		// The error lists every selectable name, extensions included.
+		for _, l := range ExtendedLibraries() {
+			if !strings.Contains(err.Error(), string(l)) {
+				t.Errorf("ParseLibrary(%q) error %q does not list %q", tc.name, err, l)
+			}
+		}
 	}
 }

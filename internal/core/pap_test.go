@@ -15,7 +15,7 @@ import (
 // predicted-imbalanced arrival pattern the arrival-aware algorithms must
 // finish no later than the symmetric ring baseline, and their reordered
 // reductions must stay bit-identical to the rank-order oracle at every
-// (shards, netshards) combination.
+// shard count.
 
 // papPlan instantiates a seeded high-intensity straggler plan on the
 // 4x4 cluster-A shape the schedule explorer uses.
@@ -144,14 +144,11 @@ func TestPAPCompletionUnderImbalance(t *testing.T) {
 }
 
 // TestPAPShardInvariance: the reordered PAP reductions must produce
-// results bit-identical to the rank-order oracle at every (shards,
-// netshards) combination — the reordering is a pure function of the
-// shared fault plan, never of the kernel partitioning.
+// results bit-identical to the rank-order oracle at every shard count —
+// the reordering is a pure function of the shared fault plan, never of
+// the kernel partitioning.
 func TestPAPShardInvariance(t *testing.T) {
 	plan := papPlan(t, 7)
-	combos := []struct{ shards, netShards int }{
-		{1, 1}, {2, 1}, {1, 2}, {2, 2}, {4, 2},
-	}
 	for _, d := range []struct {
 		name string
 		spec Spec
@@ -159,14 +156,14 @@ func TestPAPShardInvariance(t *testing.T) {
 		{"pap-sorted", PAPSorted()},
 		{"pap-ring", PAPRing()},
 	} {
-		for _, c := range combos {
-			t.Run(fmt.Sprintf("%s/shards%d-net%d", d.name, c.shards, c.netShards), func(t *testing.T) {
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards%d", d.name, shards), func(t *testing.T) {
 				job, err := topology.NewJob(topology.ClusterA(), 4, 4)
 				if err != nil {
 					t.Fatal(err)
 				}
 				e := NewEngine(mpi.NewWorld(job, mpi.Config{
-					Faults: plan, Shards: c.shards, NetShards: c.netShards,
+					Faults: plan, Shards: shards,
 				}))
 				runConformance(t, e, d.spec, mpi.Sum, mpi.Float64, 255)
 			})

@@ -43,6 +43,17 @@ func Libraries() []Library { return []Library{LibMVAPICH2, LibIntelMPI, LibPropo
 // that know about the related-work design families.
 func ExtendedLibraries() []Library { return append(Libraries(), LibPAPAware) }
 
+// ParseLibrary returns the selector named name, one of
+// ExtendedLibraries(); any other name is an error listing them.
+func ParseLibrary(name string) (Library, error) {
+	for _, l := range ExtendedLibraries() {
+		if string(l) == name {
+			return l, nil
+		}
+	}
+	return "", fmt.Errorf("unknown library %q (known: %v)", name, ExtendedLibraries())
+}
+
 // SpecFor returns the allreduce configuration the library would choose
 // for a message of the given size on this engine's job.
 func (e *Engine) SpecFor(lib Library, bytes int) Spec {
@@ -61,17 +72,10 @@ func (e *Engine) SpecFor(lib Library, bytes int) Spec {
 
 // LibraryAllreduce performs one allreduce the way the given library
 // would. Unknown library names are reported as errors (SpecFor panics,
-// since it is only reachable with validated names).
+// since it is only reachable with names ParseLibrary accepts).
 func (e *Engine) LibraryAllreduce(r *mpi.Rank, lib Library, op *mpi.Op, vec *mpi.Vector) error {
-	known := false
-	for _, l := range ExtendedLibraries() {
-		if l == lib {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("core: unknown library %q (known: %v)", lib, Libraries())
+	if _, err := ParseLibrary(string(lib)); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return e.Allreduce(r, e.SpecFor(lib, vec.Bytes()), op, vec)
 }

@@ -96,8 +96,8 @@ func TestSystematicCoverage16(t *testing.T) {
 
 // TestExploreDeterminismAcrossEnvironment fixes the exploration seed
 // and varies everything the host is allowed to vary — kernel shards,
-// net shards, sweep workers, GOMAXPROCS — and requires bit-identical
-// reports: same digests, same events, same failures (none).
+// sweep workers, GOMAXPROCS — and requires bit-identical reports: same
+// digests, same events, same failures (none).
 func TestExploreDeterminismAcrossEnvironment(t *testing.T) {
 	base := Scenario{Nodes: 2, PPN: 2, Count: 13, Design: "dpml-pipe-2x3"}
 	opts := Options{Schedules: 3, Seed: 42}
@@ -116,7 +116,6 @@ func TestExploreDeterminismAcrossEnvironment(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		sc := base
 		sc.Shards = shards
-		sc.NetShards = 2
 		rep, err := Run(sc, opts)
 		check("shards", rep, err)
 	}

@@ -16,7 +16,6 @@ package fabric
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"dpml/internal/sim"
 )
@@ -151,11 +150,10 @@ type flow struct {
 // a set of flows and the links they (transitively) share. Max-min fair
 // rates in one component are independent of every other component — the
 // only exact decomposition of the fill — so components are the unit of
-// both incremental and parallel recomputation. Flow and link lists
-// preserve the canonical global orders (n.active order; first-touch link
-// order), so the fill's floating-point arithmetic does not depend on how
-// components are grouped, which of them a recompute refills, or which
-// worker computes them.
+// incremental recomputation. Flow and link lists preserve the canonical
+// global orders (n.active order; first-touch link order), so the fill's
+// floating-point arithmetic does not depend on how components are grouped
+// or which of them a recompute refills.
 type component struct {
 	flows []*flow
 	links []*Link
@@ -168,12 +166,11 @@ type component struct {
 //
 //dpml:owner shared
 type FlowNet struct {
-	k       *sim.Kernel
-	workers int     // host goroutines for the component fill (see SetWorkers)
-	active  []*flow // live flows plus tombstones awaiting compaction
-	live    int     // live entries in active
-	dirty   bool
-	gen     uint64 // water-filling generation stamp
+	k      *sim.Kernel
+	active []*flow // live flows plus tombstones awaiting compaction
+	live   int     // live entries in active
+	dirty  bool
+	gen    uint64 // water-filling generation stamp
 	// touched lists the links whose flows or capacity changed since the
 	// last recompute (duplicates allowed); only their components refill.
 	touched []*Link
@@ -194,9 +191,8 @@ type FlowNet struct {
 		// recompute because no link the flow crossed was a bottleneck.
 		FastPath uint64
 		// MaxComponents is the largest number of independent link
-		// components live at any single recompute — the available
-		// water-fill parallelism (1 means the whole net is one coupled
-		// component).
+		// components live at any single recompute (1 means the whole
+		// net is one coupled component).
 		MaxComponents uint64
 		// Refilled sums, over recomputes, the flows whose component was
 		// refilled: the water-fill work actually done.
@@ -206,23 +202,8 @@ type FlowNet struct {
 
 // NewFlowNet returns an empty flow scheduler bound to the kernel.
 func NewFlowNet(k *sim.Kernel) *FlowNet {
-	return &FlowNet{k: k, workers: 1, labelLinks: []int32{0}}
+	return &FlowNet{k: k, labelLinks: []int32{0}}
 }
-
-// SetWorkers sets how many host goroutines recompute may use to
-// water-fill independent link components concurrently (the -netshards
-// knob). Components share no state and their arithmetic is canonical, so
-// the results are bit-identical at every worker count — w only decides
-// wall-clock parallelism. w < 1 is clamped to 1 (serial).
-func (n *FlowNet) SetWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	n.workers = w
-}
-
-// Workers returns the configured water-fill worker count.
-func (n *FlowNet) Workers() int { return n.workers }
 
 // Active returns the number of in-flight flows.
 func (n *FlowNet) Active() int { return n.live }
@@ -333,19 +314,12 @@ func (n *FlowNet) complete(f *flow) {
 	}
 }
 
-// parallelFillMin is the refilled-flow floor below which recompute stays
-// serial even when workers > 1: goroutine handoff costs more than a small
-// fill, and small refills rarely span many components.
-const parallelFillMin = 48
-
 // recompute settles progress, then water-fills and reschedules only the
 // components whose flows or link capacities changed since the last
 // recompute. A component's fill reads nothing but its own flows' caps,
 // its links' capacities and their list order, so a component nothing
 // touched already holds exactly the rates a global refill would give it,
-// and its completion events stay valid. Components share no state and use
-// canonical arithmetic (see waterFill), so striding the refilled ones
-// across workers changes wall-clock only, never a single bit of output.
+// and its completion events stay valid.
 func (n *FlowNet) recompute() {
 	n.Stats.Recompute++
 	n.compact()
@@ -359,29 +333,8 @@ func (n *FlowNet) recompute() {
 	now := n.k.Now()
 	n.settle(now)
 	n.Stats.Refilled += uint64(len(n.refill))
-	w := n.workers
-	if w > count {
-		w = count
-	}
-	if w > 1 && len(n.refill) >= parallelFillMin {
-		var wg sync.WaitGroup
-		for i := 1; i < w; i++ {
-			wg.Add(1)
-			go func(start int) {
-				defer wg.Done()
-				for j := start; j < count; j += w {
-					n.fillComponent(&n.comps[j])
-				}
-			}(i)
-		}
-		for j := 0; j < count; j += w {
-			n.fillComponent(&n.comps[j])
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < count; i++ {
-			n.fillComponent(&n.comps[i])
-		}
+	for i := 0; i < count; i++ {
+		n.fillComponent(&n.comps[i])
 	}
 	n.reschedule(now)
 }
@@ -567,9 +520,9 @@ func (n *FlowNet) reschedule(now sim.Time) {
 }
 
 // fillComponent water-fills rates and refreshes bottleneck flags for one
-// settled component. Safe to run concurrently with other components:
-// every flow belongs to exactly one component and every link's flows all
-// share that component, so the touched state is disjoint.
+// settled component. It touches only c's flows and links: every flow
+// belongs to exactly one component and every link's flows all share that
+// component.
 func (n *FlowNet) fillComponent(c *component) {
 	n.waterFill(c)
 

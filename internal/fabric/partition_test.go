@@ -194,8 +194,8 @@ func countComponents(routes [][]int, nl int) int {
 // random caps — and checks that the production component-partitioned fill
 // produces rates EXACTLY equal (==, not approximately) to the single
 // global reference fill. Random populations fragment into many
-// components, so this directly exercises the decomposition the netshards
-// parallelism relies on.
+// components, so this directly exercises the decomposition the
+// incremental refill relies on.
 func TestPartitionedFillMatchesGlobalFill(t *testing.T) {
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func(mod int) int {
@@ -369,98 +369,90 @@ func TestArrivalRefillsOnlyItsComponent(t *testing.T) {
 }
 
 // TestFillWorkerCountInvariance runs a full simulation — hundreds of
-// flows started and completing across virtual time, with one link
-// degraded and restored mid-run, enough to engage the parallel fill path
-// — and digests every completion instant. The digest is pinned: every
-// worker count must reproduce it, and so must any change to how
-// recompute decides what to refill, since netshards is wall-clock-only by
-// construction and incremental refill is exact. This pins it end to end
-// through recompute, reschedule, the completion fast path and in-place
-// capacity changes.
+// flows started and completing across virtual time in many independent
+// components, with one link degraded and restored mid-run — and digests
+// every completion instant. The digest is pinned: any change to how
+// recompute decides what to refill must reproduce it, since incremental
+// refill is exact. This pins it end to end through recompute,
+// reschedule, the completion fast path and in-place capacity changes.
 func TestFillWorkerCountInvariance(t *testing.T) {
 	const want = "273082aab51c00815fdaf1f707743034ea1d9c1846e3b14b30c9260229bb10ea"
-	digest := func(workers int) string {
-		rng := uint64(7)
-		next := func(mod int) int {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			return int(rng>>33) % mod
-		}
-		k := sim.NewKernel()
-		n := NewFlowNet(k)
-		n.SetWorkers(workers)
-		const nLinks = 40
-		links := make([]*Link, nLinks)
-		for l := range links {
-			links[l] = NewLink(fmt.Sprintf("l%d", l), float64(1+next(8))*1e9)
-		}
-		// Two private links carry bursts of identical cap-bound flows that
-		// finish at one instant, so the digest also pins the order in
-		// which same-instant completions were keyed.
-		private := []*Link{NewLink("pa", 8e9), NewLink("pb", 8e9)}
-		h := sha256.New()
-		k.Spawn("driver", func(p *sim.Proc) {
-			var wg sim.WaitGroup
-			const nFlows = 300
-			wg.Add(nFlows + 8)
-			for i := 0; i < nFlows; i++ {
-				if i == 60 {
-					for j := 0; j < 8; j++ {
-						id := uint64(1000 + j)
-						n.Start(1<<20, 1e9, func() {
-							var b [16]byte
-							binary.LittleEndian.PutUint64(b[:8], id)
-							binary.LittleEndian.PutUint64(b[8:], uint64(k.Now()))
-							h.Write(b[:])
-							wg.Done()
-						}, private[j%2])
-					}
-				}
-				route := []*Link{links[next(nLinks)]}
-				if extra := next(nLinks); extra != 0 && links[extra] != route[0] {
-					route = append(route, links[extra])
-				}
-				id := uint64(i)
-				n.Start(int64(1+next(1<<22)), float64(1+next(10))*0.5e9, func() {
-					var b [16]byte
-					binary.LittleEndian.PutUint64(b[:8], id)
-					binary.LittleEndian.PutUint64(b[8:], uint64(k.Now()))
-					h.Write(b[:])
-					wg.Done()
-				}, route...)
-				// Stagger start instants so flows overlap in shifting sets.
-				if i%7 == 0 {
-					p.Sleep(sim.Duration(1 + next(50_000)))
-				}
-				// Degrade, then restore, one link mid-run: flows already
-				// crossing it are re-water-filled in place.
-				switch i {
-				case 120:
-					n.SetLinkCapacity(links[3], 0.25e9)
-				case 210:
-					n.SetLinkCapacity(links[3], 4e9)
+	rng := uint64(7)
+	next := func(mod int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % mod
+	}
+	k := sim.NewKernel()
+	n := NewFlowNet(k)
+	const nLinks = 40
+	links := make([]*Link, nLinks)
+	for l := range links {
+		links[l] = NewLink(fmt.Sprintf("l%d", l), float64(1+next(8))*1e9)
+	}
+	// Two private links carry bursts of identical cap-bound flows that
+	// finish at one instant, so the digest also pins the order in which
+	// same-instant completions were keyed.
+	private := []*Link{NewLink("pa", 8e9), NewLink("pb", 8e9)}
+	h := sha256.New()
+	k.Spawn("driver", func(p *sim.Proc) {
+		var wg sim.WaitGroup
+		const nFlows = 300
+		wg.Add(nFlows + 8)
+		for i := 0; i < nFlows; i++ {
+			if i == 60 {
+				for j := 0; j < 8; j++ {
+					id := uint64(1000 + j)
+					n.Start(1<<20, 1e9, func() {
+						var b [16]byte
+						binary.LittleEndian.PutUint64(b[:8], id)
+						binary.LittleEndian.PutUint64(b[8:], uint64(k.Now()))
+						h.Write(b[:])
+						wg.Done()
+					}, private[j%2])
 				}
 			}
-			wg.Wait(p, "flows")
-		})
-		if err := k.Run(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			route := []*Link{links[next(nLinks)]}
+			if extra := next(nLinks); extra != 0 && links[extra] != route[0] {
+				route = append(route, links[extra])
+			}
+			id := uint64(i)
+			n.Start(int64(1+next(1<<22)), float64(1+next(10))*0.5e9, func() {
+				var b [16]byte
+				binary.LittleEndian.PutUint64(b[:8], id)
+				binary.LittleEndian.PutUint64(b[8:], uint64(k.Now()))
+				h.Write(b[:])
+				wg.Done()
+			}, route...)
+			// Stagger start instants so flows overlap in shifting sets.
+			if i%7 == 0 {
+				p.Sleep(sim.Duration(1 + next(50_000)))
+			}
+			// Degrade, then restore, one link mid-run: flows already
+			// crossing it are re-water-filled in place.
+			switch i {
+			case 120:
+				n.SetLinkCapacity(links[3], 0.25e9)
+			case 210:
+				n.SetLinkCapacity(links[3], 4e9)
+			}
 		}
-		// Link accounting sums every settled leg, so it pins the settle
-		// instants too.
-		for _, l := range append(links, private...) {
-			var b [16]byte
-			binary.LittleEndian.PutUint64(b[:8], math.Float64bits(l.moved))
-			binary.LittleEndian.PutUint64(b[8:], uint64(l.busy))
-			h.Write(b[:])
-		}
-		if n.Stats.MaxComponents < 2 {
-			t.Fatalf("workers=%d: MaxComponents=%d, workload must fragment", workers, n.Stats.MaxComponents)
-		}
-		return fmt.Sprintf("%x", h.Sum(nil))
+		wg.Wait(p, "flows")
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
-	for _, w := range []int{1, 2, 3, 8} {
-		if got := digest(w); got != want {
-			t.Errorf("workers=%d digest %s, want %s", w, got, want)
-		}
+	// Link accounting sums every settled leg, so it pins the settle
+	// instants too.
+	for _, l := range append(links, private...) {
+		var b [16]byte
+		binary.LittleEndian.PutUint64(b[:8], math.Float64bits(l.moved))
+		binary.LittleEndian.PutUint64(b[8:], uint64(l.busy))
+		h.Write(b[:])
+	}
+	if n.Stats.MaxComponents < 2 {
+		t.Fatalf("MaxComponents=%d, workload must fragment", n.Stats.MaxComponents)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("digest %s, want %s", got, want)
 	}
 }

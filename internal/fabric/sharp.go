@@ -202,8 +202,8 @@ type sharpCall struct {
 // folded in arrival-event order — a canonical order of virtual time, then
 // arriving node, then creation sequence), and the upper tree combines the
 // per-subtree partials in subtree-id order at launch. Both orders are
-// independent of the shard and netshard counts, so the floating-point
-// fold is identical across every execution configuration.
+// independent of the shard count, so the floating-point fold is
+// identical across every execution configuration.
 //
 //dpml:owner net
 type sharpOp struct {

@@ -14,9 +14,9 @@ import (
 // lookahead-respecting timestamp and route it via the per-window
 // exchange; direct pushes bypass the null-message protocol and are
 // exactly the class of bug that breaks bit-identical replay at other
-// (shards, netshards) combinations. Kernel and signal ownership comes
-// from the //dpml:owner model (owner.go); receivers the model cannot
-// resolve are left to the kernel's runtime cross-LP assertions.
+// shard counts. Kernel and signal ownership comes from the //dpml:owner
+// model (owner.go); receivers the model cannot resolve are left to the
+// kernel's runtime cross-LP assertions.
 var SendpathAnalyzer = &Analyzer{
 	Name:      "sendpath",
 	Doc:       "cross-LP communication goes through AfterOn/AfterNet outboxes, never direct scheduling or wakes on another class's kernel",

@@ -67,14 +67,6 @@ type Config struct {
 	// knob trades memory and synchronization overhead for wall-clock
 	// speed only.
 	Shards int
-	// NetShards sets how many OS threads the network LP's flow engine may
-	// use to water-fill independent link components concurrently. The
-	// fabric's link partition itself is derived from the topology (leaf
-	// subtrees), never from this knob, so every netshard count produces
-	// bit-identical results — like Shards, it trades coordination
-	// overhead for wall-clock speed only. Zero uses the process default
-	// (DefaultNetShards); 1 forces the serial fill.
-	NetShards int
 	// Explore, when non-nil, installs a schedule-perturbation config on
 	// the simulation kernel (see sim.Explore and internal/explore): event
 	// tiebreaks are permuted per Salt/Swaps, and — when Salt is non-zero
@@ -110,30 +102,10 @@ func SetDefaultShards(n int) {
 	defaultShards = n
 }
 
-// defaultNetShards is the process-wide network-shard count used when
-// Config.NetShards is zero, initialized from the DPML_NET_SHARDS
-// environment variable (the CLI tools' -netshards flag overrides it via
-// SetDefaultNetShards).
-var defaultNetShards = func() int {
-	if s := os.Getenv("DPML_NET_SHARDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}()
-
-// DefaultNetShards returns the process-wide default network shard count.
-func DefaultNetShards() int { return defaultNetShards }
-
-// SetDefaultNetShards sets the process-wide default network shard count
-// used by worlds whose Config.NetShards is zero. n < 1 resets to serial.
-func SetDefaultNetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultNetShards = n
-}
+// DefaultNetShards always returns 1: the network water-fill is serial.
+// It exists only for the header line of cmd/dpml-perfbench, and goes
+// when that benchmark stops printing it.
+func DefaultNetShards() int { return 1 }
 
 // World is one job: the simulated cluster fabric plus one rank per
 // process. Create it with NewWorld, then call Run exactly once. The
@@ -192,11 +164,6 @@ func NewWorld(job *topology.Job, cfg Config) *World {
 	coord.SetExplore(cfg.Explore)
 	netK := coord.NetKernel()
 	flows := fabric.NewFlowNet(netK)
-	netShards := cfg.NetShards
-	if netShards == 0 {
-		netShards = defaultNetShards
-	}
-	flows.SetWorkers(netShards)
 	w := &World{
 		coord: coord,
 		Job:   job,
@@ -253,11 +220,6 @@ func (w *World) Coordinator() *sim.Coordinator { return w.coord }
 
 // Shards returns the effective kernel shard count in force.
 func (w *World) Shards() int { return w.coord.Shards() }
-
-// NetShards returns the effective network shard (water-fill worker)
-// count in force. Per-node memory flow engines always fill serially:
-// their populations are small and node-local.
-func (w *World) NetShards() int { return w.Flows.Workers() }
 
 // Now returns the simulation's current virtual time (after Run: the
 // instant the last event fired, identical for every shard count).

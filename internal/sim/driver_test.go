@@ -100,3 +100,37 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedGoexitEndsRun: a proc that calls runtime.Goexit, as
+// t.FailNow does, ends its shard goroutine (iter.Pull re-raises the
+// Goexit on the driver). Coordinator.Run must still return, with a
+// *PanicError naming that proc, and leave no goroutine behind.
+func TestShardedGoexitEndsRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	co := NewCoordinator(2, 2, Microsecond)
+	var sig Signal
+	co.KernelFor(0).SpawnOn(0, "rank0", func(p *Proc) { sig.Wait(p, "parked") })
+	co.KernelFor(1).SpawnOn(1, "rank1", func(p *Proc) {
+		p.Sleep(Microsecond)
+		runtime.Goexit()
+	})
+	done := make(chan error, 1)
+	go func() { done <- co.Run() }()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Coordinator.Run still blocked 5s after a proc called runtime.Goexit")
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Proc != "rank1" {
+		t.Fatalf("got %v, want a PanicError naming rank1", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after the run, %d before", got, base)
+	}
+}

@@ -54,7 +54,7 @@ package sim
 // behaviorally meaningful; the kernel records those as TiePairs for the
 // systematic frontier, and folds a per-LP digest of the *raw* keys
 // actually fired so behaviorally identical schedules hash equal at every
-// (shards, netshards, GOMAXPROCS) combination.
+// (shards, GOMAXPROCS) combination.
 
 // Explore configures schedule perturbation for one run. The zero value
 // (and a nil *Explore) means the canonical schedule. Install it with

@@ -594,11 +594,7 @@ func (k *Kernel) Run() error {
 func (k *Kernel) drive() {
 	defer func() {
 		if r := recover(); r != nil && k.failure == nil {
-			name := "event callback"
-			if k.last != nil {
-				name = k.last.name
-			}
-			k.failure = &PanicError{Proc: name, Value: r}
+			k.failure = &PanicError{Proc: k.culprit(), Value: r}
 		}
 	}()
 	for p := k.schedule(); p != nil; p = k.schedule() {
@@ -606,6 +602,15 @@ func (k *Kernel) drive() {
 		k.Stats.ContextSwitch++
 		p.resume()
 	}
+}
+
+// culprit names whoever is blamed for a failure raised on the driver: the
+// proc that ran last, or "event callback" before any proc has run.
+func (k *Kernel) culprit() string {
+	if k.last == nil {
+		return "event callback"
+	}
+	return k.last.name
 }
 
 // schedule is the scheduler step: it fires due events until a proc is

@@ -460,11 +460,25 @@ func (c *Coordinator) Run() error {
 	for i := range c.kernels {
 		k, ch := c.kernels[i], c.winStart[i]
 		go func() {
+			goexit := true
+			defer func() {
+				// A proc that calls runtime.Goexit (t.FailNow, say) ends
+				// its coroutine, and iter.Pull re-raises the Goexit here,
+				// on the shard goroutine. Report it as that proc's failure
+				// so the barrier completes instead of waiting forever.
+				if goexit {
+					if k.failure == nil {
+						k.failure = &PanicError{Proc: k.culprit(), Value: "runtime.Goexit"}
+					}
+					c.winDone <- k.kidx
+				}
+			}()
 			for h := range ch {
 				k.horizon = h
 				k.drive()
 				c.winDone <- k.kidx
 			}
+			goexit = false
 		}()
 	}
 	defer func() {

@@ -2,10 +2,10 @@ package topology
 
 // SubtreeMap is the canonical partition of a job's nodes into leaf-switch
 // subtrees. It is pure topology: derived only from the node count and the
-// cluster's leaf radix, never from any execution knob (shard or netshard
-// counts), so every run of the same job sees the same partition — the
+// cluster's leaf radix, never from any execution knob (such as the shard
+// count), so every run of the same job sees the same partition — the
 // fabric layer relies on this to keep its arithmetic, and therefore every
-// simulated outcome, independent of how many workers compute it.
+// simulated outcome, independent of how the run is executed.
 type SubtreeMap struct {
 	// Count is the number of subtrees (>= 1).
 	Count int
