@@ -58,14 +58,14 @@ perfbench:
 		bash cmd/dpml-perfbench/run.sh --workload $$w --seconds 30 --trace 0 || exit 1; \
 	done
 
-# racecheck reruns the kernel, fabric, and MPI test packages under the
-# race detector with the event kernel split across four shards. Plain
-# `race` covers host-side parallelism (the sweep pool); this covers
-# sim-side parallelism — window barriers, cross-shard outboxes, the net
-# kernel — where a missing happens-before edge would corrupt virtual
-# time itself.
+# racecheck reruns the kernel, fabric, MPI, and shared-memory region test
+# packages under the race detector with the event kernel split across
+# four shards. Plain `race` covers host-side parallelism (the sweep
+# pool); this covers sim-side parallelism — window barriers, cross-shard
+# outboxes, the net kernel — where a missing happens-before edge would
+# corrupt virtual time itself.
 racecheck:
-	DPML_SHARDS=4 $(GO) test -race -count=1 ./internal/sim/ ./internal/fabric/ ./internal/mpi/
+	DPML_SHARDS=4 $(GO) test -race -count=1 ./internal/sim/ ./internal/fabric/ ./internal/mpi/ ./internal/shmseg/
 
 # faultsmoke runs the fault-injection and watchdog tests twice (-count=2):
 # every fault class against a design (bench fault matrix), graceful SHArP

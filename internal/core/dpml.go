@@ -53,14 +53,16 @@ func (e *Engine) dpmlInstrumented(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, lead
 	// Phase 1: concurrent gather of partitions into leader segments. The
 	// slot is a view of vec, not a copy: this rank writes partition j
 	// only in Phase 4, after ResultWait(j), and leader j publishes only
-	// after it has read every slot of j.
+	// after it has read every slot of j. Phase 4 writes through the same
+	// views.
 	start := r.Now()
 	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, start)
-	for j := 0; j < leaders; j++ {
-		part := vec.Slice(displs[j], displs[j]+cnts[j])
+	parts := make([]*mpi.Vector, leaders)
+	for j := range parts {
+		parts[j] = vec.Slice(displs[j], displs[j]+cnts[j])
 		cross := pl.Socket != e.leaderSocket[j]
-		r.MemCopy(cross, part.Bytes())
-		rg.Put(seq, leaders, j, pl.LocalRank, part)
+		r.MemCopy(cross, parts[j].Bytes())
+		rg.Put(seq, leaders, j, pl.LocalRank, parts[j])
 	}
 	sp.End(r.Now())
 	if pt != nil {
@@ -96,11 +98,11 @@ func (e *Engine) dpmlInstrumented(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, lead
 	// Phase 4: concurrent broadcast of the reduced partitions.
 	start = r.Now()
 	sp = rec.BeginSpan(r.Rank(), trace.PhaseBcast, start)
-	for j := 0; j < leaders; j++ {
+	for j, part := range parts {
 		res := rg.ResultWait(r.Proc(), seq, leaders, j)
 		cross := pl.Socket != e.leaderSocket[j]
 		r.MemCopy(cross, res.Bytes())
-		vec.Slice(displs[j], displs[j]+cnts[j]).CopyFrom(res)
+		part.CopyFrom(res)
 	}
 	rg.DoneCopy(seq)
 	sp.End(r.Now())

@@ -78,3 +78,44 @@ func TestDPMLAllreduceAllocBound(t *testing.T) {
 		})
 	}
 }
+
+// TestDPMLPhantomMallocBound bounds the heap objects one phantom DPML
+// allreduce allocates: 16x16 ranks on cluster D, DPML-4, 64 KB of
+// float32 each, one kernel shard. Phantom vectors carry no data, so what
+// is left is proc set-up and per-message bookkeeping. Flows are recycled,
+// a shared-memory copy parks on the proc's own wakeup and park reasons
+// are formatted only for a report, so World.Run makes about 16k objects.
+// A flow object and completion closure per flow, a signal and closure
+// per copy and a formatted reason per wait made about 31k.
+func TestDPMLPhantomMallocBound(t *testing.T) {
+	const (
+		nodes, ppn = 16, 16
+		maxMallocs = 20_000
+	)
+	job, err := topology.NewJob(topology.ClusterD(), nodes, ppn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mpi.NewWorld(job, mpi.Config{Shards: 1})
+	e := NewEngine(w)
+	vecs := make([]*mpi.Vector, job.NumProcs())
+	for r := range vecs {
+		vecs[r] = mpi.NewPhantom(mpi.Float32, 16<<10)
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs0 := ms.Mallocs
+	err = w.Run(func(r *mpi.Rank) error {
+		return e.Allreduce(r, DPML(4), mpi.Sum, vecs[r.Rank()])
+	})
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs - mallocs0
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("World.Run made %d heap objects", mallocs)
+	if mallocs > maxMallocs {
+		t.Fatalf("World.Run made %d heap objects, want <= %d", mallocs, maxMallocs)
+	}
+}

@@ -129,17 +129,19 @@ func (l *Link) compact() {
 }
 
 // flow is one transfer in flight; like Link, it is owned by whichever
-// kernel's FlowNet it runs under.
+// kernel's FlowNet it runs under. Flow objects are recycled through the
+// FlowNet's free list (see FlowNet.compact for when one may be reused).
 //
 //dpml:owner shared
 type flow struct {
-	links      []*Link
+	links      []*Link // the flow's own copy of its route
 	cap        float64 // per-flow rate ceiling, bytes/sec
 	remaining  float64 // bytes left to move
 	rate       float64
 	prevRate   float64 // rate before the current recompute
 	lastSettle sim.Time
 	onDone     func()
+	fire       func() // completion event callback, built once per object
 	event      *sim.Event
 	frozen     bool  // scratch state for water-filling
 	done       bool  // completed; awaiting compaction
@@ -182,6 +184,8 @@ type FlowNet struct {
 	comps      []component // scratch: per-component flow/link buckets, reused
 	queue      []*Link     // scratch: component search frontier
 	refill     []*flow     // scratch: refilled flows in n.active order
+	free       []*flow     // recycled flows, out of n.active and every link's list
+	refillFn   func()      // the refill event callback markDirty schedules
 	// Stats counts scheduler work for tests and reports.
 	Stats struct {
 		Started   uint64
@@ -202,7 +206,12 @@ type FlowNet struct {
 
 // NewFlowNet returns an empty flow scheduler bound to the kernel.
 func NewFlowNet(k *sim.Kernel) *FlowNet {
-	return &FlowNet{k: k, labelLinks: []int32{0}}
+	n := &FlowNet{k: k, labelLinks: []int32{0}}
+	n.refillFn = func() {
+		n.dirty = false
+		n.recompute()
+	}
+	return n
 }
 
 // Active returns the number of in-flight flows.
@@ -212,7 +221,8 @@ func (n *FlowNet) Active() int { return n.live }
 // ceiling, invoking onDone in kernel context when the last byte drains.
 // Zero-byte flows complete immediately (still asynchronously, at the
 // current instant). Rate recomputation is batched: flows started at the
-// same instant trigger one water-filling pass.
+// same instant trigger one water-filling pass. The flow keeps its own
+// copy of links, so the caller may reuse the slice.
 func (n *FlowNet) Start(bytes int64, rateCap float64, onDone func(), links ...*Link) {
 	if rateCap <= 0 {
 		panic("fabric: flow rate cap must be positive")
@@ -224,12 +234,14 @@ func (n *FlowNet) Start(bytes int64, rateCap float64, onDone func(), links ...*L
 		n.k.After(0, onDone)
 		return
 	}
-	f := &flow{
-		links:      links,
+	f := n.newFlow()
+	*f = flow{
+		links:      append(f.links[:0], links...),
 		cap:        rateCap,
 		remaining:  float64(bytes),
 		lastSettle: n.k.Now(),
 		onDone:     onDone,
+		fire:       f.fire,
 		comp:       -1,
 	}
 	for _, l := range links {
@@ -261,15 +273,26 @@ func (n *FlowNet) SetLinkCapacity(l *Link, capacity float64) {
 	n.markDirty()
 }
 
+// newFlow returns a recycled flow object, or a new one with its
+// completion callback built.
+func (n *FlowNet) newFlow() *flow {
+	if k := len(n.free); k > 0 {
+		f := n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+		return f
+	}
+	f := &flow{}
+	f.fire = func() { n.complete(f) }
+	return f
+}
+
 func (n *FlowNet) markDirty() {
 	if n.dirty {
 		return
 	}
 	n.dirty = true
-	n.k.After(0, func() {
-		n.dirty = false
-		n.recompute()
-	})
+	n.k.After(0, n.refillFn)
 }
 
 func (n *FlowNet) complete(f *flow) {
@@ -322,8 +345,8 @@ func (n *FlowNet) complete(f *flow) {
 // and its completion events stay valid.
 func (n *FlowNet) recompute() {
 	n.Stats.Recompute++
-	n.compact()
 	count := n.affectedComponents()
+	n.compact()
 	if live := uint64(n.liveComponents()); live > n.Stats.MaxComponents {
 		n.Stats.MaxComponents = live
 	}
@@ -340,7 +363,13 @@ func (n *FlowNet) recompute() {
 }
 
 // compact drops tombstoned flows from the active list, preserving the
-// insertion order of survivors (see Link.compact for why order matters).
+// insertion order of survivors (see Link.compact for why order matters),
+// and recycles them. It runs after affectedComponents has compacted every
+// touched link, and a completion touches all of its flow's links, so a
+// tombstone leaves the active list and every link's list in the same
+// recompute: that is the only point where a flow object may be reused. A
+// fast-path completion schedules no recompute, so its flow stays a
+// tombstone, not reusable, until the next one.
 func (n *FlowNet) compact() {
 	if len(n.active) == n.live {
 		return
@@ -349,6 +378,8 @@ func (n *FlowNet) compact() {
 	for _, f := range n.active {
 		if !f.done {
 			active = append(active, f)
+		} else {
+			n.free = append(n.free, f)
 		}
 	}
 	for i := len(active); i < len(n.active); i++ {
@@ -495,8 +526,8 @@ func (n *FlowNet) settle(now sim.Time) {
 // key them, and clears their component ids. A flow's event is pending
 // from the first fill after Start until complete nils it, so re-fitting
 // is an in-place Kernel.Reschedule — no cancelled tombstones pile up in
-// the event heap and the completion closure is allocated once per flow,
-// not once per rate change.
+// the event heap — and a new event reuses the flow object's completion
+// callback.
 func (n *FlowNet) reschedule(now sim.Time) {
 	for _, f := range n.refill {
 		f.comp = -1
@@ -514,8 +545,7 @@ func (n *FlowNet) reschedule(now sim.Time) {
 			}
 			continue
 		}
-		ff := f
-		f.event = n.k.At(at, func() { n.complete(ff) })
+		f.event = n.k.At(at, f.fire)
 	}
 }
 

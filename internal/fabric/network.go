@@ -304,9 +304,9 @@ func (m *MemChannel) Copy(p *sim.Proc, crossSocket bool, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
-	var done sim.Signal
-	m.flows.Start(bytes, rate, func() { done.Fire() }, m.link)
-	done.Wait(p, "shm copy")
+	// The flow's completion is the proc's own cached wakeup, so a copy
+	// allocates nothing.
+	p.Await("shm copy", func(wake func()) { m.flows.Start(bytes, rate, wake, m.link) })
 }
 
 // StartTransfer is the asynchronous variant used for intra-node

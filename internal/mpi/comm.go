@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -149,12 +150,19 @@ func (w *World) InternComm(ranks []int) *Comm { return w.internComm(ranks) }
 // deriving the same group (e.g. through Split) shares one communicator
 // object, so their messages match.
 func (w *World) internComm(ranks []int) *Comm {
-	key := fmt.Sprint(ranks)
+	// The key is the ranks' uvarints back to back. Each is
+	// self-delimiting, so distinct lists give distinct keys; a short
+	// list's key stays in buf, and a lookup allocates nothing.
+	var buf [64]byte
+	key := buf[:0]
+	for _, g := range ranks {
+		key = binary.AppendUvarint(key, uint64(g))
+	}
 	w.mu.Lock()
 	if w.commCache == nil {
 		w.commCache = make(map[string]*Comm)
 	}
-	if c, ok := w.commCache[key]; ok {
+	if c, ok := w.commCache[string(key)]; ok {
 		w.mu.Unlock()
 		return c
 	}
@@ -164,10 +172,10 @@ func (w *World) internComm(ranks []int) *Comm {
 	// object — they derive identical groups, hence identical keys).
 	c := w.NewComm(ranks)
 	w.mu.Lock()
-	if prior, ok := w.commCache[key]; ok {
+	if prior, ok := w.commCache[string(key)]; ok {
 		c = prior
 	} else {
-		w.commCache[key] = c
+		w.commCache[string(key)] = c
 	}
 	w.mu.Unlock()
 	return c

@@ -58,9 +58,17 @@ func (r *Rank) Wait(q *Request) {
 		panic("mpi: Wait on another rank's request")
 	}
 	for !q.done {
-		r.anyDone.Wait(r.proc, fmt.Sprintf("wait %s %+v", q.kind, q.key))
+		r.anyDone.WaitFor(r.proc, (*waitReason)(q))
 	}
 }
+
+// waitReason is the park reason of a rank waiting on one request,
+// formatted only when a deadlock or watchdog report prints it. A
+// request's kind and key never change, so the text is the one the wait
+// began with.
+type waitReason Request
+
+func (q *waitReason) String() string { return fmt.Sprintf("wait %s %+v", q.kind, q.key) }
 
 // WaitAll blocks until every request completes.
 func (r *Rank) WaitAll(reqs ...*Request) {

@@ -26,13 +26,35 @@ type Region struct {
 
 type opState struct {
 	leaders int
-	// slots[j][i] is local rank i's partition for leader j.
-	slots   [][]*mpi.Vector
-	filled  []int         // per leader, how many slots are written
-	gather  []sim.Signal  // per leader, fired when its segment is full
-	results []*mpi.Vector // per leader, the fully reduced partition
-	ready   []sim.Signal  // per leader, fired when the result lands
-	drained int           // ranks that finished copying out
+	segs    []segment // per leader
+	drained int       // ranks that finished copying out
+}
+
+// segment is one leader's share of an operation.
+type segment struct {
+	seq    uint64
+	leader int
+	slots  []*mpi.Vector // slots[i] is local rank i's partition
+	filled int           // how many slots are written
+	gather sim.Signal    // fired when a slot is written
+	result *mpi.Vector   // the fully reduced partition
+	ready  sim.Signal    // fired when the result lands
+}
+
+// gatherWait and resultWait are the park reasons of GatherWait and
+// ResultWait, formatted only when a deadlock or watchdog report prints
+// them.
+type (
+	gatherWait segment
+	resultWait segment
+)
+
+func (s *gatherWait) String() string {
+	return fmt.Sprintf("shm gather op=%d leader=%d", s.seq, s.leader)
+}
+
+func (s *resultWait) String() string {
+	return fmt.Sprintf("shm result op=%d leader=%d", s.seq, s.leader)
 }
 
 // NewRegion builds the region for a node with ppn local ranks.
@@ -53,16 +75,9 @@ func (rg *Region) PendingOps() int { return len(rg.ops) }
 func (rg *Region) op(seq uint64, leaders int) *opState {
 	st, ok := rg.ops[seq]
 	if !ok {
-		st = &opState{
-			leaders: leaders,
-			slots:   make([][]*mpi.Vector, leaders),
-			filled:  make([]int, leaders),
-			gather:  make([]sim.Signal, leaders),
-			results: make([]*mpi.Vector, leaders),
-			ready:   make([]sim.Signal, leaders),
-		}
-		for j := range st.slots {
-			st.slots[j] = make([]*mpi.Vector, rg.ppn)
+		st = &opState{leaders: leaders, segs: make([]segment, leaders)}
+		for j := range st.segs {
+			st.segs[j] = segment{seq: seq, leader: j, slots: make([]*mpi.Vector, rg.ppn)}
 		}
 		rg.ops[seq] = st
 	}
@@ -85,13 +100,13 @@ func (rg *Region) Put(seq uint64, leaders, leader, localRank int, part *mpi.Vect
 	if localRank < 0 || localRank >= rg.ppn {
 		panic(fmt.Sprintf("shmseg: Put local rank %d of %d", localRank, rg.ppn))
 	}
-	st := rg.op(seq, leaders)
-	if st.slots[leader][localRank] != nil {
+	seg := &rg.op(seq, leaders).segs[leader]
+	if seg.slots[localRank] != nil {
 		panic(fmt.Sprintf("shmseg: op %d slot (%d,%d) written twice", seq, leader, localRank))
 	}
-	st.slots[leader][localRank] = part
-	st.filled[leader]++
-	st.gather[leader].FireAll()
+	seg.slots[localRank] = part
+	seg.filled++
+	seg.gather.FireAll()
 }
 
 // GatherWait parks the leader's proc until want slots of its segment are
@@ -102,32 +117,32 @@ func (rg *Region) GatherWait(p *sim.Proc, seq uint64, leaders, leader, want int)
 	if want <= 0 || want > rg.ppn {
 		panic(fmt.Sprintf("shmseg: GatherWait want %d of %d", want, rg.ppn))
 	}
-	st := rg.op(seq, leaders)
-	for st.filled[leader] < want {
-		st.gather[leader].Wait(p, fmt.Sprintf("shm gather op=%d leader=%d", seq, leader))
+	seg := &rg.op(seq, leaders).segs[leader]
+	for seg.filled < want {
+		seg.gather.WaitFor(p, (*gatherWait)(seg))
 	}
-	return st.slots[leader]
+	return seg.slots
 }
 
 // Publish stores leader's fully reduced partition and wakes the local
 // ranks waiting to copy it out.
 func (rg *Region) Publish(seq uint64, leaders, leader int, result *mpi.Vector) {
-	st := rg.op(seq, leaders)
-	if st.results[leader] != nil {
+	seg := &rg.op(seq, leaders).segs[leader]
+	if seg.result != nil {
 		panic(fmt.Sprintf("shmseg: op %d leader %d published twice", seq, leader))
 	}
-	st.results[leader] = result
-	st.ready[leader].FireAll()
+	seg.result = result
+	seg.ready.FireAll()
 }
 
 // ResultWait parks the proc until leader's result is published and
 // returns it. The caller charges its own copy-out cost.
 func (rg *Region) ResultWait(p *sim.Proc, seq uint64, leaders, leader int) *mpi.Vector {
-	st := rg.op(seq, leaders)
-	for st.results[leader] == nil {
-		st.ready[leader].Wait(p, fmt.Sprintf("shm result op=%d leader=%d", seq, leader))
+	seg := &rg.op(seq, leaders).segs[leader]
+	for seg.result == nil {
+		seg.ready.WaitFor(p, (*resultWait)(seg))
 	}
-	return st.results[leader]
+	return seg.result
 }
 
 // DoneCopy signals that one local rank has copied every result out of

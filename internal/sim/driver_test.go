@@ -33,10 +33,14 @@ func TestShardedPanicInsideEventCallback(t *testing.T) {
 	}
 }
 
+// errGoexit stands for a Run that never returned because a proc's
+// runtime.Goexit unwound the goroutine calling it (a one-kernel run).
+var errGoexit = errors.New("Run unwound by runtime.Goexit")
+
 // TestRunLeaksNoGoroutines: every way a run can end — completion,
-// deadlock, watchdog expiry, a proc panic — must leave no proc coroutine
-// or shard goroutine behind, whether the unfinished procs were parked,
-// ready after running, or never started.
+// deadlock, watchdog expiry, a proc panic, a proc's runtime.Goexit — must
+// leave no proc coroutine or shard goroutine behind, whether the
+// unfinished procs were parked, ready after running, or never started.
 func TestRunLeaksNoGoroutines(t *testing.T) {
 	const nodes = 4
 	scenarios := []struct {
@@ -71,6 +75,22 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 				sig.Wait(p, "parked")
 			}
 		}, func(err error) bool { var e *PanicError; return errors.As(err, &e) }},
+		// The last node's rank calls runtime.Goexit, as t.FailNow does.
+		// On one kernel the Goexit unwinds the caller of Run; on shards
+		// it becomes a PanicError. Either way the parked and never-started
+		// procs must be stopped.
+		{"goexit", 0, func(n int, sig *Signal) func(*Proc) {
+			return func(p *Proc) {
+				if n == nodes-1 {
+					p.Sleep(Microsecond)
+					runtime.Goexit()
+				}
+				sig.Wait(p, "parked")
+			}
+		}, func(err error) bool {
+			var e *PanicError
+			return err == errGoexit || errors.As(err, &e)
+		}},
 	}
 	for _, sc := range scenarios {
 		for _, shards := range []int{1, 2} {
@@ -86,7 +106,13 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 					// fails before its turn.
 					k.SpawnOn(n, fmt.Sprintf("late%d", n), func(p *Proc) {})
 				}
-				if err := co.Run(); !sc.want(err) {
+				done := make(chan error, 1)
+				go func() {
+					err := errGoexit
+					defer func() { done <- err }()
+					err = co.Run()
+				}()
+				if err := <-done; !sc.want(err) {
 					t.Fatalf("run ended with %v", err)
 				}
 				deadline := time.Now().Add(2 * time.Second)

@@ -57,13 +57,18 @@ const (
 // function passed to Kernel.Spawn, and all of its methods must be called
 // from that function.
 type Proc struct {
-	k         *Kernel
-	id        int
-	lp        int32 // owning logical process (shard-local state domain)
-	name      string
-	state     procState
-	blockedOn string
-	wake      func() // cached Sleep callback: one closure per proc, not per call
+	k     *Kernel
+	id    int
+	lp    int32 // owning logical process (shard-local state domain)
+	name  string
+	state procState
+	wake  func() // cached wakeup: one closure per proc, not per park
+
+	// Why the proc is parked, for deadlock and watchdog reports: a fixed
+	// text, or a Stringer that is formatted only when a report prints,
+	// so that parking costs no fmt call and no heap object.
+	blockedOn  string
+	blockedFor fmt.Stringer
 
 	// The coroutine (see start): the driver calls resume to run the proc
 	// until it next blocks, the proc calls yield to block, and shutdown
@@ -577,13 +582,15 @@ func (k *Kernel) Run() error {
 		panic("sim: Run on a sharded kernel; use Coordinator.Run")
 	}
 	k.started = true
+	// Deferred, so a proc's runtime.Goexit, which iter.Pull re-raises
+	// here and which unwinds the caller past drive, still stops every
+	// other proc.
+	defer k.shutdown()
 	k.drive()
-	err := k.failure
-	if err == nil {
-		err = k.termErr
+	if k.failure != nil {
+		return k.failure
 	}
-	k.shutdown()
-	return err
+	return k.termErr
 }
 
 // drive runs the kernel until the run (standalone) or the window
@@ -694,7 +701,11 @@ func (k *Kernel) blockedDump() []string {
 	var blocked []string
 	for _, p := range k.procs {
 		if p.state == stateBlocked {
-			blocked = append(blocked, fmt.Sprintf("%s: %s", p.name, p.blockedOn))
+			why := p.blockedOn
+			if p.blockedFor != nil {
+				why = p.blockedFor.String()
+			}
+			blocked = append(blocked, p.name+": "+why)
 		}
 	}
 	sort.Strings(blocked)
@@ -731,6 +742,28 @@ func (k *Kernel) readyProc(p *Proc) {
 func (p *Proc) park(why string) {
 	p.state = stateBlocked
 	p.blockedOn = why
+	p.suspend()
+	p.blockedOn = ""
+}
+
+// parkFor is park with a reason formatted only if a report names the
+// proc.
+func (p *Proc) parkFor(why fmt.Stringer) {
+	p.state = stateBlocked
+	p.blockedFor = why
+	p.suspend()
+	p.blockedFor = nil
+}
+
+// Await parks the proc until its wakeup runs. start receives the proc's
+// wakeup callback, the same cached closure Sleep schedules, and must
+// arrange for it to run exactly once, from an event callback or another
+// proc: a flow's completion, say. Nothing is allocated per call. why is
+// shown in deadlock reports.
+func (p *Proc) Await(why string, start func(wake func())) {
+	p.state = stateBlocked
+	p.blockedOn = why
+	start(p.wake)
 	p.suspend()
 	p.blockedOn = ""
 }

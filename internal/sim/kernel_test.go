@@ -121,6 +121,30 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestDeadlockReasonsPinned pins the park reasons of every blocking
+// primitive, exactly as a deadlock report renders them.
+func TestDeadlockReasonsPinned(t *testing.T) {
+	k := NewKernel()
+	var sig Signal
+	sem := NewSemaphore("inj", 0)
+	q := NewQueue[int]("mbox")
+	var wg WaitGroup
+	wg.Add(1)
+	k.Spawn("a", func(p *Proc) { sem.Acquire(p) })
+	k.Spawn("b", func(p *Proc) { q.Recv(p) })
+	k.Spawn("c", func(p *Proc) { sig.Wait(p, "plain") })
+	k.Spawn("d", func(p *Proc) { wg.Wait(p, "group") })
+	err := k.Run()
+	const want = "sim: deadlock at t=0.000us; blocked procs:\n" +
+		"  a: semaphore \"inj\"\n" +
+		"  b: queue \"mbox\" recv\n" +
+		"  c: plain\n" +
+		"  d: group"
+	if err == nil || err.Error() != want {
+		t.Fatalf("deadlock report:\n%v\nwant:\n%s", err, want)
+	}
+}
+
 func TestProcPanicPropagates(t *testing.T) {
 	k := NewKernel()
 	var sig Signal

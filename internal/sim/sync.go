@@ -19,6 +19,14 @@ func (s *Signal) Wait(p *Proc, why string) {
 	p.park(why)
 }
 
+// WaitFor is Wait with a reason formatted only if a deadlock or watchdog
+// report names the proc. A pointer-shaped why (a pointer to state the
+// caller already holds) makes the park allocation-free.
+func (s *Signal) WaitFor(p *Proc, why fmt.Stringer) {
+	s.waiters = append(s.waiters, p)
+	p.parkFor(why)
+}
+
 // Fire readies the oldest waiter, if any, and reports whether one was
 // released. May be called from a running proc or an event callback.
 func (s *Signal) Fire() bool {
@@ -71,8 +79,13 @@ func (s *Semaphore) Acquire(p *Proc) {
 		return
 	}
 	s.queue = append(s.queue, p)
-	p.park(fmt.Sprintf("semaphore %q", s.name))
+	p.parkFor((*semaphoreWait)(s))
 }
+
+// semaphoreWait is the park reason of a proc queued on a semaphore.
+type semaphoreWait Semaphore
+
+func (s *semaphoreWait) String() string { return fmt.Sprintf("semaphore %q", s.name) }
 
 // TryAcquire takes a permit without blocking, reporting success.
 func (s *Semaphore) TryAcquire() bool {
@@ -123,7 +136,7 @@ func (q *Queue[T]) Send(v T) {
 // empty.
 func (q *Queue[T]) Recv(p *Proc) T {
 	for len(q.items) == 0 {
-		q.sig.Wait(p, fmt.Sprintf("queue %q recv", q.name))
+		q.sig.WaitFor(p, (*queueRecv[T])(q))
 	}
 	v := q.items[0]
 	var zero T
@@ -132,6 +145,11 @@ func (q *Queue[T]) Recv(p *Proc) T {
 	q.items = q.items[:len(q.items)-1]
 	return v
 }
+
+// queueRecv is the park reason of a proc receiving from an empty queue.
+type queueRecv[T any] Queue[T]
+
+func (q *queueRecv[T]) String() string { return fmt.Sprintf("queue %q recv", q.name) }
 
 // TryRecv dequeues without blocking, reporting whether a value was
 // available.
